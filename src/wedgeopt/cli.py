@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .complexify import ComplexProblem, realify, solve_complex
+from .complexify import ComplexProblem, _fold, realify
 from .errors import DomainError, ParseError, RankDeficientError, ValidationError
 from .forms import max_dimension
 from .oracle import independent_rows, oracle_direction
@@ -186,6 +186,11 @@ def parse_problem(path: str) -> ProblemSpec:
         raise ValidationError(
             f"n={n} exceeds the supported cap {max_dimension()} (WEDGEOPT_MAX_DIMENSION)"
         )
+    if field == "complex" and 2 * n > max_dimension():
+        raise ValidationError(
+            f"complex n={n} is solved as a real system of dimension 2n={2 * n}, "
+            f"which exceeds the supported cap {max_dimension()} (WEDGEOPT_MAX_DIMENSION)"
+        )
     if m < 0:
         raise ValidationError(f"m must be non-negative, got {m}")
     if m >= n:
@@ -234,81 +239,68 @@ def run_solve(spec: ProblemSpec, check_oracle: bool = False, reduce_rows: bool =
         timings["reduce"] = time.perf_counter() - t0
 
     if spec.field == "real":
-        system = ConstraintSystem(a)
-        objective = Objective(spec.b, spec.mode)
-        t0 = time.perf_counter()
-        solution = optimal_direction(system, objective, spec.tolerance)
-        timings["solve"] = time.perf_counter() - t0
-        report = SolveReport(
-            field=spec.field,
-            n=spec.n,
-            m=system.m,
-            mode=spec.mode,
-            status=solution.status.value,
-            objective=solution.objective,
-            direction=_encode_vector(solution.direction),
-            raw=_encode_vector(solution.raw),
-            residual_max=_relative_residual(system.rows, solution.direction),
-            dropped_rows=dropped,
-            timings=timings,
-        )
-        if check_oracle:
-            t0 = time.perf_counter()
-            oracle = oracle_direction(system, objective, spec.tolerance)
-            timings["oracle"] = time.perf_counter() - t0
-            report.oracle_status = oracle.status.value
-            report.oracle_direction = _encode_vector(oracle.direction)
-            report.oracle_objective = oracle.objective
-            if solution.status == oracle.status == SolveStatus.OPTIMAL:
-                report.cosine_agreement = float(solution.direction @ oracle.direction)
-        return report
-
-    problem = ComplexProblem(a, spec.b, spec.part, spec.mode)
+        system, objective = ConstraintSystem(a), Objective(spec.b, spec.mode)
+        fold = np.asarray
+    else:
+        system, objective = realify(ComplexProblem(a, spec.b, spec.part, spec.mode))
+        fold = _fold
     t0 = time.perf_counter()
-    solution = solve_complex(problem, spec.tolerance)
+    solution = optimal_direction(system, objective, spec.tolerance)
     timings["solve"] = time.perf_counter() - t0
+    direction = fold(solution.direction)
     report = SolveReport(
         field=spec.field,
         n=spec.n,
-        m=problem.m,
+        m=a.shape[0],
         mode=spec.mode,
-        objective_part=spec.part,
+        objective_part=spec.part if spec.field == "complex" else None,
         status=solution.status.value,
         objective=solution.objective,
-        direction=_encode_vector(solution.direction),
-        raw=_encode_vector(solution.raw),
-        residual_max=_relative_residual(problem.rows, solution.direction),
+        direction=_encode_vector(direction),
+        raw=_encode_vector(fold(solution.raw)),
+        residual_max=_relative_residual(a, direction),
         dropped_rows=dropped,
         timings=timings,
     )
     if check_oracle:
-        system_r, objective_r = realify(problem)
         t0 = time.perf_counter()
-        oracle = oracle_direction(system_r, objective_r, spec.tolerance)
+        oracle = oracle_direction(system, objective, spec.tolerance)
         timings["oracle"] = time.perf_counter() - t0
-        n = problem.n
         report.oracle_status = oracle.status.value
-        report.oracle_direction = _encode_vector(oracle.direction[:n] + 1j * oracle.direction[n:])
+        report.oracle_direction = _encode_vector(fold(oracle.direction))
         report.oracle_objective = oracle.objective
         if solution.status == oracle.status == SolveStatus.OPTIMAL:
-            solved_real = np.concatenate([solution.direction.real, solution.direction.imag])
-            report.cosine_agreement = float(solved_real @ oracle.direction)
+            report.cosine_agreement = float(solution.direction @ oracle.direction)
     return report
+
+
+def _check_failures(
+    status: str, oracle_status: str, cosine: float | None, objective: float, oracle_objective: float
+) -> list[str]:
+    """The --check gates between a solve and its oracle: one reason per failed gate."""
+    if status != oracle_status:
+        return [f"status mismatch: solver={status}, oracle={oracle_status}"]
+    reasons = []
+    if cosine is not None and cosine < 1.0 - CHECK_COSINE_TOLERANCE:
+        reasons.append(f"direction agreement too low: cosine={cosine!r}")
+    scale = max(abs(objective), abs(oracle_objective))
+    if scale > 0.0 and abs(objective - oracle_objective) > CHECK_OBJECTIVE_TOLERANCE * scale:
+        reasons.append(f"objective mismatch: solver={objective!r}, oracle={oracle_objective!r}")
+    return reasons
 
 
 def evaluate_check(report: SolveReport) -> tuple[bool, str | None]:
     """Decide whether an oracle cross-check passed; returns (ok, reason)."""
     if report.oracle_status is None:
         return True, None
-    if report.status != report.oracle_status:
-        return False, f"status mismatch: solver={report.status}, oracle={report.oracle_status}"
-    if report.cosine_agreement is not None and report.cosine_agreement < 1.0 - CHECK_COSINE_TOLERANCE:
-        return False, f"direction agreement too low: cosine={report.cosine_agreement!r}"
-    a, o = report.objective, report.oracle_objective
-    scale = max(abs(a), abs(o))
-    if scale > 0.0 and abs(a - o) > CHECK_OBJECTIVE_TOLERANCE * scale:
-        return False, f"objective mismatch: solver={a!r}, oracle={o!r}"
-    return True, None
+    reasons = _check_failures(
+        report.status,
+        report.oracle_status,
+        report.cosine_agreement,
+        report.objective,
+        report.oracle_objective,
+    )
+    return not reasons, reasons[0] if reasons else None
 
 
 def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
@@ -351,23 +343,17 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
         max_residual = max(max_residual, residual)
         if residual > SELF_TEST_RESIDUAL:
             failures.append({"trial": trial, "reason": f"residual {residual!r}"})
-        if solution.status != oracle.status:
-            failures.append(
-                {
-                    "trial": trial,
-                    "reason": f"status mismatch: {solution.status.value} vs {oracle.status.value}",
-                }
-            )
-        elif solution.status == SolveStatus.OPTIMAL:
+        cosine = None
+        if solution.status == oracle.status == SolveStatus.OPTIMAL:
             cosine = float(solution.direction @ oracle.direction)
+        reasons = _check_failures(
+            solution.status.value, oracle.status.value, cosine, solution.objective, oracle.objective
+        )
+        failures.extend({"trial": trial, "reason": reason} for reason in reasons)
+        if cosine is not None:
             min_cosine = cosine if min_cosine is None else min(min_cosine, cosine)
-            if cosine < 1.0 - CHECK_COSINE_TOLERANCE:
-                failures.append({"trial": trial, "reason": f"cosine {cosine!r}"})
             gap = abs(solution.objective - oracle.objective)
-            gap /= max(abs(solution.objective), abs(oracle.objective))
-            max_gap = max(max_gap, gap)
-            if gap > CHECK_OBJECTIVE_TOLERANCE:
-                failures.append({"trial": trial, "reason": f"objective gap {gap!r}"})
+            max_gap = max(max_gap, gap / max(abs(solution.objective), abs(oracle.objective)))
             if n == 3 and m == 1:
                 triple = triple_product_direction(rows[0], b)
                 triple_norm = float(np.linalg.norm(triple))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .forms import _check_dimension
 from .solver import ConstraintSystem, Objective, SolveStatus, optimal_direction
 
 __all__ = ["ComplexProblem", "ComplexSolution", "realify", "solve_complex"]
@@ -32,28 +31,18 @@ class ComplexProblem:
         b = np.array(self.b, dtype=complex)
         if rows.ndim != 2:
             raise DomainError("constraint rows must form a 2-d matrix")
-        m, n = rows.shape
-        _check_dimension(n)
-        if m >= n:
-            raise DomainError(f"the row count must satisfy m < n, got m={m}, n={n}")
-        if not np.all(np.isfinite(rows)):
-            raise DomainError("constraint rows must have finite entries")
-        if m and np.any(np.linalg.norm(rows, axis=1) == 0.0):
-            raise DomainError("constraint rows must be nonzero")
-        if b.ndim != 1 or b.shape[0] != n:
-            raise DomainError(f"objective must be a complex vector of length {n}")
-        if not np.all(np.isfinite(b)):
-            raise DomainError("objective entries must be finite")
-        if np.linalg.norm(b) == 0.0:
-            raise DomainError("objective vector must have positive norm")
+        if b.ndim != 1 or b.shape[0] != rows.shape[1]:
+            raise DomainError(f"objective must be a complex vector of length {rows.shape[1]}")
         if self.part not in ("re", "im"):
             raise DomainError(f"part must be 're' or 'im', got {self.part!r}")
-        if self.mode not in ("max", "min"):
-            raise DomainError(f"mode must be 'max' or 'min', got {self.mode!r}")
         rows.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "b", b)
+        # The realified system and objective carry every other rule: the
+        # (doubled) dimension cap, m < n, finite nonzero rows, a finite
+        # nonzero objective and the mode.
+        realify(self)
 
     @property
     def m(self) -> int:
@@ -114,7 +103,11 @@ def solve_complex(problem: ComplexProblem, tolerance: float | None = None) -> Co
     """
     system, objective = realify(problem)
     solution = optimal_direction(system, objective, tolerance)
-    n = problem.n
-    direction = solution.direction[:n] + 1j * solution.direction[n:]
-    raw = solution.raw[:n] + 1j * solution.raw[n:]
+    direction, raw = _fold(solution.direction), _fold(solution.raw)
     return ComplexSolution(direction, raw, solution.objective, solution.status)
+
+
+def _fold(vec: np.ndarray) -> np.ndarray:
+    """Complex n-vector from its (Re x, Im x) coordinates."""
+    n = vec.shape[0] // 2
+    return vec[:n] + 1j * vec[n:]

@@ -16,12 +16,12 @@ import numpy as np
 from .errors import DomainError, RankDeficientError
 from .solver import (
     DEGENERACY_TOLERANCE,
+    RANK_TOLERANCE,
     ConstraintSystem,
     Objective,
     Solution,
     SolveStatus,
     _check_pair,
-    degenerate_direction,
 )
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "perpendicular_component",
     "sample_feasible",
 ]
-
-# Relative residual below which a row counts as dependent on its predecessors.
-RANK_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,34 +80,56 @@ class OrthoBasis:
         return self.vectors.shape[1]
 
 
-def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
+def _gram_schmidt(matrix: np.ndarray) -> tuple[list[int], list[np.ndarray], list[float]]:
     """Modified Gram-Schmidt with one re-orthogonalization pass per row.
 
-    Rows whose residual falls below RANK_TOLERANCE times the running row
-    scale are skipped, so a dependent input shows up as rank < m rather
-    than as an error.
+    Returns the indices of the kept rows, their orthonormal images and the
+    residual norms removed from each.  A row is skipped when its residual
+    falls below RANK_TOLERANCE times the running row scale.  Real or complex
+    rows; the conjugating product leaves real arithmetic unchanged.
+    """
+    kept: list[int] = []
+    vectors: list[np.ndarray] = []
+    scales: list[float] = []
+    running_scale = 0.0
+    for i, row in enumerate(matrix):
+        running_scale = max(running_scale, float(np.linalg.norm(row)))
+        v = row.copy()
+        for _ in range(2):
+            for u in vectors:
+                v -= np.vdot(u, v) * u
+        residual = float(np.linalg.norm(v))
+        if residual > RANK_TOLERANCE * running_scale:
+            kept.append(i)
+            vectors.append(v / residual)
+            scales.append(residual)
+    return kept, vectors, scales
+
+
+def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
+    """Orthonormal basis of the rows' span, from _gram_schmidt.
+
+    A dependent input shows up as rank < m rather than as an error.
     """
     matrix = np.array(rows, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise DomainError("orthonormalize expects at least one row vector")
     if not np.all(np.isfinite(matrix)):
         raise DomainError("rows must have finite entries")
-    kept: list[np.ndarray] = []
-    scales: list[float] = []
-    running_scale = 0.0
-    for row in matrix:
-        running_scale = max(running_scale, float(np.linalg.norm(row)))
-        v = row.copy()
-        for _ in range(2):
-            for u in kept:
-                v -= (u @ v) * u
-        residual = float(np.linalg.norm(v))
-        if residual <= RANK_TOLERANCE * running_scale:
-            continue
-        kept.append(v / residual)
-        scales.append(residual)
-    vectors = np.array(kept) if kept else np.zeros((0, matrix.shape[1]))
+    kept, vectors, scales = _gram_schmidt(matrix)
+    vectors = np.array(vectors) if kept else np.zeros((0, matrix.shape[1]))
     return OrthoBasis(vectors, np.array(scales), len(kept))
+
+
+def _full_basis(system: ConstraintSystem) -> OrthoBasis:
+    """Gram-Schmidt basis of a system with m >= 1, after the oracle's rank test."""
+    basis = orthonormalize(system.rows)
+    if basis.rank < system.m:
+        raise RankDeficientError(
+            "constraint rows are linearly dependent; drop dependent rows "
+            "(for the CLI: --reduce-rows) and retry"
+        )
+    return basis
 
 
 def perpendicular_component(b: Sequence[float], basis: OrthoBasis) -> np.ndarray:
@@ -144,20 +163,25 @@ def oracle_direction(
     if system.m == 0:
         direction = sigma * b / np.linalg.norm(b)
         return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
-    basis = orthonormalize(system.rows)
-    if basis.rank < system.m:
-        raise RankDeficientError(
-            "constraint rows are linearly dependent; drop dependent rows "
-            "(for the CLI: --reduce-rows) and retry"
-        )
+    basis = _full_basis(system)
     perp = perpendicular_component(b, basis)
     raw = float(np.prod(np.square(basis.scales))) * perp
     coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     perp_norm = float(np.linalg.norm(perp))
     if perp_norm <= coeff * float(np.linalg.norm(b)):
-        return Solution(degenerate_direction(system), raw, 0.0, SolveStatus.DEGENERATE)
+        return Solution(_first_free_axis(basis), raw, 0.0, SolveStatus.DEGENERATE)
     direction = sigma * perp / perp_norm
     return Solution(direction, raw, float(b @ direction), SolveStatus.OPTIMAL)
+
+
+def _first_free_axis(basis: OrthoBasis) -> np.ndarray:
+    """First coordinate axis with a non-negligible null-space part, projected and normalized."""
+    for axis in np.eye(basis.n):
+        v = perpendicular_component(axis, basis)
+        length = float(np.linalg.norm(v))
+        if length > 1e-4:
+            return v / length
+    raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
 
 
 def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
@@ -171,9 +195,7 @@ def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) 
     if system.m == 0:
         raise DomainError("oracle_value needs at least one constraint row")
     _check_pair(system, objective)
-    basis = orthonormalize(system.rows)
-    if basis.rank < system.m:
-        raise RankDeficientError("constraint rows are linearly dependent")
+    basis = _full_basis(system)
     perp = perpendicular_component(objective.b, basis)
     value = float(t_star) * float(np.prod(np.square(basis.scales))) * float(perp @ perp)
     return value if objective.mode == "max" else -value
@@ -185,12 +207,7 @@ def sample_feasible(system: ConstraintSystem, seed: int) -> np.ndarray:
     Two calls with equal seeds return identical vectors; across seeds the
     samples cover the whole feasible unit sphere.
     """
-    if system.m:
-        basis = orthonormalize(system.rows)
-        if basis.rank < system.m:
-            raise RankDeficientError("constraint rows are linearly dependent")
-    else:
-        basis = OrthoBasis.empty(system.n)
+    basis = _full_basis(system) if system.m else OrthoBasis.empty(system.n)
     rng = np.random.default_rng(seed)
     while True:
         vec = perpendicular_component(rng.standard_normal(system.n), basis)
@@ -208,18 +225,4 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     matrix = np.asarray(rows)
     if matrix.ndim != 2:
         raise DomainError("expected a 2-d row matrix")
-    matrix = matrix.astype(complex if np.iscomplexobj(matrix) else float)
-    kept_idx: list[int] = []
-    kept_vecs: list[np.ndarray] = []
-    running_scale = 0.0
-    for i, row in enumerate(matrix):
-        running_scale = max(running_scale, float(np.linalg.norm(row)))
-        v = row.copy()
-        for _ in range(2):
-            for u in kept_vecs:
-                v -= (np.conj(u) @ v) * u
-        residual = float(np.linalg.norm(v))
-        if residual > RANK_TOLERANCE * running_scale:
-            kept_idx.append(i)
-            kept_vecs.append(v / residual)
-    return kept_idx
+    return _gram_schmidt(matrix.astype(complex if np.iscomplexobj(matrix) else float))[0]

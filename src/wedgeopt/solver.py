@@ -20,6 +20,7 @@ from .forms import KForm, _check_dimension, _combos, from_vector, hodge, wedge
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
+    "RANK_TOLERANCE",
     "ConstraintSystem",
     "Objective",
     "Solution",
@@ -36,6 +37,10 @@ __all__ = [
 # equivalent to ||b_perp|| <= c * ||b|| and therefore invariant under row and
 # objective rescaling.
 DEGENERACY_TOLERANCE = 1e-12
+# The rows count as dependent when the smallest singular value of the
+# row-normalized matrix is at most this, so the rule is invariant under
+# independent per-row rescaling.
+RANK_TOLERANCE = 1e-10
 
 
 class SolveStatus(str, Enum):
@@ -160,20 +165,22 @@ def dual_form(objective: Objective, constraint: KForm) -> KForm:
     return hodge(wedge(from_vector(objective.b), constraint))
 
 
-def _solution_ray(system: ConstraintSystem, objective: Objective) -> tuple[KForm, np.ndarray]:
-    """Constraint form and unnormalized optimal ray, after a rank check."""
-    from .oracle import orthonormalize  # deferred: oracle imports this module's types
-
-    basis = orthonormalize(system.rows)
-    if basis.rank < system.m:
+def _full_rank_form(system: ConstraintSystem) -> KForm:
+    """Constraint form of a system with m >= 1, after the rank test."""
+    unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
+    if np.linalg.svd(unit_rows, compute_uv=False)[-1] <= RANK_TOLERANCE:
         raise RankDeficientError(
             "constraint rows are linearly dependent; drop dependent rows "
             "(for the CLI: --reduce-rows) and retry"
         )
-    constraint = constraint_form(system)
+    return constraint_form(system)
+
+
+def _ray(constraint: KForm, objective: Objective) -> np.ndarray:
+    """Unnormalized optimal ray: ||A_form||^2 times the null-space part of b."""
     raw_form = hodge(wedge(constraint, dual_form(objective, constraint)))
-    parity = 1.0 if system.n % 2 else -1.0  # fixes b . raw = ||b ^ rows||^2 >= 0
-    return constraint, parity * raw_form.coeffs
+    parity = 1.0 if constraint.n % 2 else -1.0  # fixes b . raw = ||b ^ rows||^2 >= 0
+    return parity * raw_form.coeffs
 
 
 def optimal_direction(
@@ -199,11 +206,12 @@ def optimal_direction(
     if system.m == 0:
         direction = sigma * b / np.linalg.norm(b)
         return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
-    constraint, raw = _solution_ray(system, objective)
+    constraint = _full_rank_form(system)
+    raw = _ray(constraint, objective)
     coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm <= coeff * constraint.norm() ** 2 * float(np.linalg.norm(b)):
-        return Solution(degenerate_direction(system), raw, 0.0, SolveStatus.DEGENERATE)
+        return Solution(_first_free_ray(constraint), raw, 0.0, SolveStatus.DEGENERATE)
     if float(b @ raw) < 0.0:
         sigma = -sigma
     direction = sigma * raw / raw_norm
@@ -222,7 +230,7 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
     if system.m == 0:
         raise DomainError("objective_value needs at least one constraint row")
     _check_pair(system, objective)
-    _, raw = _solution_ray(system, objective)
+    raw = _ray(_full_rank_form(system), objective)
     value = float(t_star) * float(objective.b @ raw)
     return value if objective.mode == "max" else -value
 
@@ -240,28 +248,30 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     return np.cross(a, np.cross(b, a))
 
 
+def _first_free_ray(constraint: KForm) -> np.ndarray:
+    """Normalized ray for b = e_j at the first axis j with a usable null-space part.
+
+    The ray for e_j is ||A_form||^2 times the null-space projection of e_j,
+    so the threshold below is ||P e_j|| > 1e-4.
+    """
+    floor = 1e-4 * constraint.norm() ** 2
+    for axis in np.eye(constraint.n):
+        ray = _ray(constraint, Objective(axis))
+        length = float(np.linalg.norm(ray))
+        if length > floor:
+            return ray / length
+    raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
+
+
 def degenerate_direction(system: ConstraintSystem) -> np.ndarray:
     """Deterministic unit vector in the null space of the constraint rows.
 
-    Takes the first coordinate axis with a non-negligible null-space
-    component, orthogonalizes it against the rows and normalizes.
+    The normalized ray of the first coordinate axis with a non-negligible
+    null-space component, which is that axis projected onto the null space
+    and normalized.
     """
-    n = system.n
     if system.m == 0:
-        axis = np.zeros(n)
+        axis = np.zeros(system.n)
         axis[0] = 1.0
         return axis
-    from .oracle import orthonormalize  # deferred: oracle imports this module's types
-
-    basis = orthonormalize(system.rows)
-    if basis.rank < system.m:
-        raise RankDeficientError("constraint rows are linearly dependent")
-    for j in range(n):
-        v = np.zeros(n)
-        v[j] = 1.0
-        v -= basis.vectors.T @ (basis.vectors @ v)
-        v -= basis.vectors.T @ (basis.vectors @ v)
-        length = float(np.linalg.norm(v))
-        if length > 1e-4:
-            return v / length
-    raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
+    return _first_free_ray(_full_rank_form(system))

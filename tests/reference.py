@@ -98,3 +98,15 @@ def brute_optimal_ray(rows, b):
     weighted = np.tensordot(b, contracted, axes=([0], [0]))
     q = n - m - 1
     return np.tensordot(contracted, weighted, axes=(list(range(1, 1 + q)), list(range(q))))
+
+
+def null_space_axis(rows):
+    """First coordinate axis whose SVD null-space projection exceeds 1e-4, normalized."""
+    rows = np.asarray(rows, dtype=float)
+    null = np.linalg.svd(rows)[2][rows.shape[0]:]
+    for axis in np.eye(rows.shape[1]):
+        projected = null.T @ (null @ axis)
+        length = np.linalg.norm(projected)
+        if length > 1e-4:
+            return projected / length
+    raise AssertionError("no coordinate axis has a null-space part")

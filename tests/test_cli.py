@@ -220,6 +220,14 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
 
+    def test_complex_cap_counts_realified_dimension(self, tmp_path, capsys):
+        n = 20  # within the cap of 32, but solved as a 40-dimensional real system
+        doc = {"field": "complex", "n": n, "m": 1, "A": [[[1, 0]] * n], "B": [[0, 1]] * n}
+        assert main(["--input", write_problem(tmp_path, doc)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError"
+        assert "n=20" in err["message"] and "2n=40" in err["message"]
+
     def test_complex_end_to_end(self, tmp_path, capsys):
         doc = {
             "field": "complex",

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import random_instance, relative_residual, span_combination
-from reference import brute_optimal_ray
+from reference import brute_optimal_ray, null_space_axis
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.forms import basis_form, from_vector, wedge, _combos
-from wedgeopt.oracle import orthonormalize, perpendicular_component
+from wedgeopt.oracle import oracle_direction, orthonormalize, perpendicular_component
 from wedgeopt.solver import (
     ConstraintSystem,
     Objective,
@@ -218,6 +218,23 @@ class TestOptimalDirection:
                 cosine = float(solution.direction @ ray) / np.linalg.norm(ray)
                 assert cosine >= 1.0 - 1e-10
 
+    def test_rank_rule_ignores_per_row_scale(self):
+        # Gram-Schmidt against the running row scale calls these rows dependent;
+        # scaled to unit norm they are 45 degrees apart.
+        system = ConstraintSystem([[1.0, 0, 0], [1e-12, 1e-12, 0]])
+        solution = optimal_direction(system, Objective([0, 0, 1.0]))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert np.allclose(np.abs(solution.direction), [0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_rank_rule_accepts_many_coherent_rows(self):
+        # Partial-sum rows: condition number 29, but the product of the rows'
+        # relative Gram-Schmidt residuals, ||A_form|| / prod ||a_i||, is 3e-11.
+        system = ConstraintSystem(np.tril(np.ones((22, 24))))
+        objective = Objective(np.arange(1.0, 25.0))
+        solution = optimal_direction(system, objective)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert float(solution.direction @ oracle_direction(system, objective).direction) >= 1.0 - 1e-9
+
     def test_tolerance_override(self):
         rng = np.random.default_rng(37)
         system, _ = random_instance(rng, 5, 2)
@@ -324,11 +341,53 @@ class TestDegenerateDirection:
 
     def test_deterministic_and_feasible(self):
         rng = np.random.default_rng(44)
+        systems = [ConstraintSystem([[1.0, 0, 0], [1e-12, 1e-12, 0]])]
         for _ in range(30):
             n = int(rng.integers(2, 12))
             m = int(rng.integers(1, n))
-            system, _ = random_instance(rng, n, m)
+            systems.append(random_instance(rng, n, m)[0])
+        for system in systems:
             first = degenerate_direction(system)
             second = degenerate_direction(system)
             assert np.array_equal(first, second)
             assert relative_residual(system.rows, first) <= 1e-10
+            assert np.max(np.abs(first - null_space_axis(system.rows))) <= 1e-12
+
+
+class TestIndependentOfOracle:
+    def test_solver_runs_without_the_oracle(self, monkeypatch):
+        import wedgeopt.oracle
+
+        def refuse(rows):
+            raise AssertionError("the solver called oracle.orthonormalize")
+
+        monkeypatch.setattr(wedgeopt.oracle, "orthonormalize", refuse)
+        rng = np.random.default_rng(45)
+        system, objective = random_instance(rng, 5, 2)
+        assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
+        assert relative_residual(system.rows, degenerate_direction(system)) <= 1e-10
+        assert objective_value(system, objective, 1.0) > 0.0
+        dependent = ConstraintSystem([[1.0, 0, 0], [2.0, 0, 0]])
+        with pytest.raises(RankDeficientError):
+            optimal_direction(dependent, Objective([0, 1.0, 0]))
+        with pytest.raises(RankDeficientError):
+            degenerate_direction(dependent)
+        with pytest.raises(RankDeficientError):
+            objective_value(dependent, Objective([0, 1.0, 0]), 1.0)
+
+    def test_oracle_runs_without_the_solver_fallback(self, monkeypatch):
+        import wedgeopt.oracle
+        import wedgeopt.solver
+
+        def refuse(*args):
+            raise AssertionError("the oracle called the solver's degenerate fallback")
+
+        monkeypatch.setattr(wedgeopt.solver, "degenerate_direction", refuse)
+        monkeypatch.setattr(wedgeopt.solver, "_first_free_ray", refuse)
+        monkeypatch.setattr(wedgeopt.oracle, "degenerate_direction", refuse, raising=False)
+        rng = np.random.default_rng(46)
+        system, _ = random_instance(rng, 5, 2)
+        solution = oracle_direction(system, Objective(span_combination(rng, system.rows)))
+        assert solution.status is SolveStatus.DEGENERATE
+        assert relative_residual(system.rows, solution.direction) <= 1e-10
+        assert np.max(np.abs(solution.direction - null_space_axis(system.rows))) <= 1e-12
