@@ -1,8 +1,8 @@
 """Optimal unit directions under homogeneous linear constraints.
 
 Computes the unit vector that maximizes (or minimizes) a linear objective
-on the null space of a constraint matrix, through wedge products and Hodge
-duals over Euclidean R^n, with an independent Gram-Schmidt projection
+on the null space of a constraint matrix, through wedge and interior
+products of forms over Euclidean R^n, with an independent Gram-Schmidt projection
 oracle for cross-validation and a complex-problem reduction layer.
 """
 
@@ -12,6 +12,7 @@ from .forms import (
     KForm,
     MultiIndex,
     basis_form,
+    contract,
     from_vector,
     hodge,
     inner,
@@ -23,7 +24,6 @@ from .forms import (
 )
 from .oracle import (
     OrthoBasis,
-    independent_rows,
     oracle_direction,
     oracle_value,
     orthonormalize,
@@ -38,6 +38,7 @@ from .solver import (
     constraint_form,
     degenerate_direction,
     dual_form,
+    independent_rows,
     objective_value,
     optimal_direction,
     triple_product_direction,
@@ -62,6 +63,7 @@ __all__ = [
     "WedgeoptError",
     "basis_form",
     "constraint_form",
+    "contract",
     "degenerate_direction",
     "dual_form",
     "from_vector",

@@ -21,11 +21,12 @@ import numpy as np
 from .complexify import ComplexProblem, _fold, realify
 from .errors import DomainError, ParseError, RankDeficientError, ValidationError
 from .forms import max_dimension
-from .oracle import independent_rows, oracle_direction
+from .oracle import oracle_direction
 from .solver import (
     ConstraintSystem,
     Objective,
     SolveStatus,
+    independent_rows,
     optimal_direction,
     triple_product_direction,
 )
@@ -233,9 +234,9 @@ def run_solve(spec: ProblemSpec, check_oracle: bool = False, reduce_rows: bool =
     dropped = None
     if reduce_rows:
         t0 = time.perf_counter()
-        keep = independent_rows(a) if spec.m else []
+        keep = independent_rows(a)
         dropped = sorted(set(range(spec.m)) - set(keep))
-        a = a[keep] if spec.m else a
+        a = a[keep]
         timings["reduce"] = time.perf_counter() - t0
 
     if spec.field == "real":

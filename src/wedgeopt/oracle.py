@@ -2,8 +2,8 @@
 
 Orthonormalizes the constraint rows, removes their span from the objective
 vector and normalizes what is left.  On every nondegenerate instance the
-result must be parallel to the wedge/Hodge direction; the test suite and
-the CLI --check flag enforce that agreement.
+result must be parallel to the wedge/contraction direction; the test suite
+and the CLI --check flag enforce that agreement.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .solver import (
 __all__ = [
     "RANK_TOLERANCE",
     "OrthoBasis",
-    "independent_rows",
     "oracle_direction",
     "oracle_value",
     "orthonormalize",
@@ -85,8 +84,7 @@ def _gram_schmidt(matrix: np.ndarray) -> tuple[list[int], list[np.ndarray], list
 
     Returns the indices of the kept rows, their orthonormal images and the
     residual norms removed from each.  A row is skipped when its residual
-    falls below RANK_TOLERANCE times the running row scale.  Real or complex
-    rows; the conjugating product leaves real arithmetic unchanged.
+    falls below RANK_TOLERANCE times the running row scale.
     """
     kept: list[int] = []
     vectors: list[np.ndarray] = []
@@ -152,7 +150,7 @@ def oracle_direction(
     objective: Objective,
     tolerance: float | None = None,
 ) -> Solution:
-    """Projection-based solve, independent of the wedge/Hodge pipeline.
+    """Projection-based solve, independent of the wedge/contraction pipeline.
 
     The raw field carries the product of squared Gram-Schmidt scales times
     the projected objective, which reproduces the solver's unnormalized ray.
@@ -215,14 +213,3 @@ def sample_feasible(system: ConstraintSystem, seed: int) -> np.ndarray:
         if length > 1e-8:
             return vec / length
 
-
-def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int]:
-    """Indices of the rows that survive Gram-Schmidt elimination, in input order.
-
-    Works for real or complex rows, so the CLI can prune both kinds of
-    problem before solving.
-    """
-    matrix = np.asarray(rows)
-    if matrix.ndim != 2:
-        raise DomainError("expected a 2-d row matrix")
-    return _gram_schmidt(matrix.astype(complex if np.iscomplexobj(matrix) else float))[0]

@@ -1,22 +1,28 @@
 """Optimal unit directions for a linear objective on a constraint null space.
 
-The solve pipeline wedges the constraint rows into one m-form, dualizes it
-against the objective 1-form, and dualizes once more.  With this module's
-sign convention the unnormalized result equals the Gram determinant of the
-rows times the component of the objective orthogonal to the row span, so
-the objective dotted with it is a sum of squares and never negative.
+The solve pipeline wedges the constraint rows into one m-form A, wedges it
+with the objective 1-form b, and contracts A back out of A ^ b.  The map
+x -> A ^ x is ||A|| times an isometry on the null space of the rows and
+zero on their span, so this interior product, its adjoint applied to
+A ^ b, is the Gram determinant of the rows times the component of b
+orthogonal to the row span.  It is the paper's double dual
+*(A ^ *(b ^ A)) times (-1)^(n+1), but needs only the grade-(m+1) wedge
+table and no complement-grade one, and b dotted with it is ||A ^ b||^2,
+never negative.  `constraint_form` folds the rows with `wedge` when
+2m <= n and takes the minors as a batch of determinants otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _combos, from_vector, hodge, wedge
+from .forms import KForm, _check_dimension, _combos, contract, from_vector, hodge, wedge
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -28,6 +34,7 @@ __all__ = [
     "constraint_form",
     "degenerate_direction",
     "dual_form",
+    "independent_rows",
     "objective_value",
     "optimal_direction",
     "triple_product_direction",
@@ -136,18 +143,22 @@ def _check_pair(system: ConstraintSystem, objective: Objective) -> None:
 
 
 def constraint_form(system: ConstraintSystem) -> KForm:
-    """Wedge of all constraint rows.
+    """Wedge of all constraint rows, a_1 ^ ... ^ a_m.
 
     The coefficient on a sorted multi-index I equals the m x m minor of the
-    row matrix on columns I, so the minors are evaluated directly as a batch
-    of determinants; agreement with the fold of pairwise wedge products is
-    covered by the test suite.
+    row matrix on columns I.  When 2m <= n the rows are folded with `wedge`:
+    no intermediate form is larger than the result, with C(n, m)
+    coefficients, and the tables hold about sum_{k<=m} C(n, k) k entries,
+    fewer than the C(n, m) m^2 of a gather of every minor.  When 2m > n the
+    fold would pass through grade n/2, with C(n, n/2) coefficients against
+    C(n, m) minors, so the minors are evaluated directly as a batch of
+    determinants.  The choice depends only on the shape.
     """
     m, n = system.m, system.n
     if m == 0:
         raise DomainError("an unconstrained system has no constraint form")
-    if m == 1:
-        return KForm(n, 1, system.rows[0])
+    if 2 * m <= n:
+        return reduce(wedge, map(from_vector, system.rows))
     submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
     return KForm(n, m, np.linalg.det(submatrices))
 
@@ -165,10 +176,40 @@ def dual_form(objective: Objective, constraint: KForm) -> KForm:
     return hodge(wedge(from_vector(objective.b), constraint))
 
 
+def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int]:
+    """The solver's rank rule, applied greedily: indices of the rows kept, in order.
+
+    A row is kept when the smallest singular value of the kept rows plus
+    this one, each scaled to unit norm, is above RANK_TOLERANCE; zero rows
+    are never kept.  Real or complex rows, so the CLI prunes both kinds of
+    problem by the rule the solve applies.  When all rows pass together,
+    every subset passes too (Cauchy interlacing), so one SVD settles it.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise DomainError("expected a 2-d row matrix")
+    norms = np.linalg.norm(rows, axis=1)
+
+    def passes(indices: list[int]) -> bool:
+        # svd returns min(rows, columns) values, so a wide stack needs this test
+        if len(indices) > rows.shape[1]:
+            return False
+        unit_rows = rows[indices] / norms[indices, None]
+        return bool(np.linalg.svd(unit_rows, compute_uv=False)[-1] > RANK_TOLERANCE)
+
+    everything = list(range(rows.shape[0]))
+    if not everything or (np.all(norms > 0.0) and passes(everything)):
+        return everything
+    kept: list[int] = []
+    for i in everything:
+        if norms[i] > 0.0 and passes(kept + [i]):
+            kept.append(i)
+    return kept
+
+
 def _full_rank_form(system: ConstraintSystem) -> KForm:
     """Constraint form of a system with m >= 1, after the rank test."""
-    unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
-    if np.linalg.svd(unit_rows, compute_uv=False)[-1] <= RANK_TOLERANCE:
+    if len(independent_rows(system.rows)) < system.m:
         raise RankDeficientError(
             "constraint rows are linearly dependent; drop dependent rows "
             "(for the CLI: --reduce-rows) and retry"
@@ -178,9 +219,7 @@ def _full_rank_form(system: ConstraintSystem) -> KForm:
 
 def _ray(constraint: KForm, objective: Objective) -> np.ndarray:
     """Unnormalized optimal ray: ||A_form||^2 times the null-space part of b."""
-    raw_form = hodge(wedge(constraint, dual_form(objective, constraint)))
-    parity = 1.0 if constraint.n % 2 else -1.0  # fixes b . raw = ||b ^ rows||^2 >= 0
-    return parity * raw_form.coeffs
+    return contract(constraint, wedge(constraint, from_vector(objective.b))).coeffs
 
 
 def optimal_direction(
@@ -191,8 +230,8 @@ def optimal_direction(
     """Best feasible unit direction for the objective.
 
     With no constraint rows the normalized objective itself is returned.
-    Otherwise the wedge/Hodge ray is normalized; its sign is chosen so the
-    objective is non-negative for mode "max" and non-positive for "min".
+    Otherwise the wedge/contraction ray is normalized; its sign is chosen so
+    the objective is non-negative for mode "max" and non-positive for "min".
     When the ray vanishes (objective inside the row span) the returned
     direction is an arbitrary but deterministic feasible unit vector and
     the objective value is zero.

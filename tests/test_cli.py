@@ -130,6 +130,21 @@ class TestRunSolve:
         assert report.m == 1
         assert np.allclose(report.direction, [1.0, 0.0, 0.0])
 
+    def test_reduce_rows_uses_the_solver_rank_rule(self, tmp_path, capsys):
+        # Scaled to unit norm these rows are 45 degrees apart, so the solver
+        # keeps both with or without --reduce-rows; b lies in their span.
+        doc = {"n": 3, "m": 2, "A": [[1, 0, 0], [1e-12, 1e-12, 0]], "B": [0, 1, 0]}
+        path = write_problem(tmp_path, doc)
+        payloads = []
+        for extra in ([], ["--reduce-rows"]):
+            assert main(["--input", path, *extra]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        plain, reduced = payloads
+        assert plain["status"] == reduced["status"] == "degenerate"
+        assert plain["direction"] == reduced["direction"]
+        assert np.allclose(np.abs(reduced["direction"]), [0.0, 0.0, 1.0], atol=1e-12)
+        assert reduced["dropped_rows"] == [] and reduced["m"] == 2
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from wedgeopt.forms import (
     KForm,
     MultiIndex,
     basis_form,
+    contract,
     from_vector,
     hodge,
     inner,
@@ -203,6 +204,39 @@ class TestWedge:
                     b = KForm(n, l, rng.standard_normal(math.comb(n, l)))
                     expected = brute_wedge(n, k, l, a.coeffs, b.coeffs)
                     assert np.allclose(wedge(a, b).coeffs, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestContract:
+    def test_basis_examples(self):
+        e12 = basis_form(3, [1, 2])
+        assert np.array_equal(contract(basis_form(3, [1]), e12).coeffs, basis_form(3, [2]).coeffs)
+        assert np.array_equal(contract(basis_form(3, [2]), e12).coeffs, -basis_form(3, [1]).coeffs)
+        assert np.array_equal(contract(basis_form(3, [3]), e12).coeffs, zero_form(3, 1).coeffs)
+        assert np.array_equal(contract(e12, e12).coeffs, [1.0])
+
+    def test_grade_and_dimension_checks(self):
+        with pytest.raises(DomainError):
+            contract(basis_form(3, [1, 2]), basis_form(3, [1]))
+        with pytest.raises(DomainError):
+            contract(from_vector([1, 0]), basis_form(3, [1, 2]))
+
+    def test_adjoint_of_dense_wedge(self):
+        # Every coefficient of contract(a, c) is <a ^ e_J, c> with the wedge
+        # taken from the dense reference, so contract is the adjoint of a ^ .
+        rng = np.random.default_rng(12)
+        for n in range(1, 6):
+            for k in range(0, n + 1):
+                for l in range(0, n - k + 1):
+                    a = rng.standard_normal(math.comb(n, k))
+                    c = KForm(n, k + l, rng.standard_normal(math.comb(n, k + l)))
+                    x = rng.standard_normal(math.comb(n, l))
+                    out = contract(KForm(n, k, a), c)
+                    assert out.k == l
+                    basis = np.eye(math.comb(n, l))
+                    expected = [brute_wedge(n, k, l, a, e) @ c.coeffs for e in basis]
+                    assert np.allclose(out.coeffs, expected, rtol=1e-12, atol=1e-12)
+                    lhs = brute_wedge(n, k, l, a, x) @ c.coeffs
+                    assert lhs == pytest.approx(inner(KForm(n, l, x), out), rel=1e-10, abs=1e-12)
 
 
 class TestHodge:

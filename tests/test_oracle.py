@@ -7,7 +7,6 @@ from helpers import random_instance, relative_residual, span_combination
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.oracle import (
     OrthoBasis,
-    independent_rows,
     oracle_direction,
     oracle_value,
     orthonormalize,
@@ -18,6 +17,7 @@ from wedgeopt.solver import (
     ConstraintSystem,
     Objective,
     SolveStatus,
+    independent_rows,
     objective_value,
     optimal_direction,
 )
@@ -225,6 +225,14 @@ class TestIndependentRows:
         rows = np.array([[1.0, 1j], [1j, -1.0], [1.0, 0.0]])
         # the second row is i times the first
         assert independent_rows(rows) == [0, 2]
+
+    def test_rule_ignores_row_scale(self):
+        # a running-norm threshold would drop the tiny second row
+        assert independent_rows([[1.0, 0, 0], [1e-12, 1e-12, 0]]) == [0, 1]
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(DomainError):
+            independent_rows([1.0, 0.0])
 
 
 class TestCrossValidation:

@@ -1,12 +1,15 @@
 """Direction solver unit and property tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import random_instance, relative_residual, span_combination
 from reference import brute_optimal_ray, null_space_axis
+import wedgeopt.forms
+import wedgeopt.solver
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.forms import basis_form, from_vector, wedge, _combos
 from wedgeopt.oracle import oracle_direction, orthonormalize, perpendicular_component
@@ -86,6 +89,24 @@ class TestConstraintForm:
             for row in rows[1:]:
                 folded = wedge(folded, from_vector(row))
             assert np.allclose(form.coeffs, folded.coeffs, rtol=1e-10, atol=1e-12)
+
+    def test_folds_exactly_when_half_or_fewer_rows(self, monkeypatch):
+        def refuse(name):
+            def stub(*args):
+                raise AssertionError(f"constraint_form called {name}")
+            return stub
+
+        rng = np.random.default_rng(24)
+        for n, m in [(2, 1), (6, 3), (9, 4), (3, 2), (7, 4), (10, 9)]:
+            system = ConstraintSystem(rng.standard_normal((m, n)))
+            with monkeypatch.context() as patch:
+                if 2 * m <= n:
+                    patch.setattr(wedgeopt.solver, "_combos", refuse("the minor gather"))
+                else:
+                    patch.setattr(wedgeopt.solver, "wedge", refuse("the wedge fold"))
+                form = constraint_form(system)
+            minors = [np.linalg.det(system.rows[:, combo]) for combo in _combos(n, m)]
+            assert np.allclose(form.coeffs, minors, rtol=1e-10, atol=1e-12)
 
 
 class TestDualForm:
@@ -218,6 +239,34 @@ class TestOptimalDirection:
                 cosine = float(solution.direction @ ray) / np.linalg.norm(ray)
                 assert cosine >= 1.0 - 1e-10
 
+    def test_raw_is_gram_determinant_times_projection(self):
+        # Pins the ray's scale and sign, on both sides of the 2m <= n rule.
+        rng = np.random.default_rng(38)
+        for n in range(2, 10):
+            for m in range(0, n):
+                system, objective = random_instance(rng, n, m)
+                a, b = system.rows, objective.b
+                expected = b
+                if m:
+                    gram = a @ a.T
+                    expected = np.linalg.det(gram) * (b - a.T @ np.linalg.solve(gram, a @ b))
+                raw = optimal_direction(system, objective).raw
+                assert np.max(np.abs(raw - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_ray_never_takes_a_hodge_dual(self, monkeypatch):
+        def refuse(form):
+            raise AssertionError("the solve called hodge")
+
+        monkeypatch.setattr(wedgeopt.solver, "hodge", refuse)
+        monkeypatch.setattr(wedgeopt.forms, "hodge", refuse)
+        rng = np.random.default_rng(39)
+        for n, m in [(3, 1), (8, 4), (7, 5)]:
+            system, objective = random_instance(rng, n, m)
+            assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
+            spanned = Objective(span_combination(rng, system.rows))
+            assert optimal_direction(system, spanned).status is SolveStatus.DEGENERATE
+            assert objective_value(system, objective, 1.0) > 0.0
+
     def test_rank_rule_ignores_per_row_scale(self):
         # Gram-Schmidt against the running row scale calls these rows dependent;
         # scaled to unit norm they are 45 degrees apart.
@@ -244,6 +293,35 @@ class TestOptimalDirection:
         objective = Objective(near)
         assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
         assert optimal_direction(system, objective, 1e-3).status is SolveStatus.DEGENERATE
+
+
+class TestSolveMemory:
+    """tracemalloc peaks of cold solves: the ray must not build complement-grade
+    tables, and the fold must not run where it passes through grade n/2."""
+
+    @staticmethod
+    def cold_peak_mb(n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        system, objective = random_instance(rng, n, m)
+        names = ("_binomials", "_combos", "_hodge_table", "_wedge_table")
+        tables = [getattr(wedgeopt.forms, name) for name in names]
+        for table in tables:
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+            for table in tables:
+                table.cache_clear()
+
+    def test_wide_shape_peak(self):
+        assert self.cold_peak_mb(32, 4) < 250.0
+
+    @pytest.mark.parametrize("n, m", [(24, 22), (32, 31)])
+    def test_tall_shape_peak(self, n, m):
+        assert self.cold_peak_mb(n, m) < 5.0
 
 
 class TestObjectiveValue:
