@@ -37,7 +37,6 @@ from .solver import (
     SolveStatus,
     constraint_form,
     degenerate_direction,
-    dual_form,
     independent_rows,
     objective_value,
     optimal_direction,
@@ -65,7 +64,6 @@ __all__ = [
     "constraint_form",
     "contract",
     "degenerate_direction",
-    "dual_form",
     "from_vector",
     "hodge",
     "independent_rows",

@@ -7,11 +7,16 @@ produced here is the parity of an explicit shuffle permutation against
 that ordering.  All values are immutable after construction and all
 operations are pure functions, so everything is safe to share between
 threads.
+
+Products and contractions with a grade-1 factor or result, the only ones a
+solve takes, run on a compact cached table per (n, k): for every
+grade-(k+1) index and every slot in it, the vector's index and the rank of
+the k-index left over.  Other grades use a general shuffle table that
+lists every split of every target index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -81,16 +86,29 @@ def _binomials(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _combos(n: int, k: int) -> np.ndarray:
-    """All strictly increasing 0-based k-tuples below n, lex order, one per row."""
+    """All strictly increasing 0-based k-tuples below n, lex order, one per row.
+
+    Column-major, so `.T` is a contiguous slot-major view.  Grades up to n/2
+    extend each (k-1)-tuple by every larger index; higher grades are the
+    complements of grade n-k in reverse order, so the recursion never passes
+    through grade n/2 on its way to a grade near n.
+    """
     if k == 0:
-        out = np.zeros((1, 0), dtype=np.intp)
+        out = np.zeros((1, 0), dtype=np.intp, order="F")
+    elif 2 * k > n:
+        low = _combos(n, n - k)
+        keep = np.ones((low.shape[0], n), dtype=bool)
+        keep[np.arange(low.shape[0])[:, None], low] = False
+        out = np.asfortranarray(np.nonzero(keep[::-1])[1].reshape(-1, k))
     else:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-            dtype=np.intp,
-            count=math.comb(n, k) * k,
-        )
-        out = flat.reshape(-1, k)
+        prev = _combos(n, k - 1)
+        starts = prev[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
+        counts = n - starts
+        out = np.empty((int(counts.sum()), k), dtype=np.intp, order="F")
+        for j in range(k - 1):
+            out[:, j] = np.repeat(prev[:, j], counts)
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        out[:, -1] = np.repeat(starts, counts) + np.arange(out.shape[0]) - firsts
     out.flags.writeable = False
     return out
 
@@ -123,19 +141,16 @@ def _shuffle_signs(positions: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _hodge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Target rank and sign sending each grade-k basis form to its dual."""
-    combos = _combos(n, k)
-    count = combos.shape[0]
-    keep = np.ones((count, n), dtype=bool)
-    if k:
-        keep[np.arange(count)[:, None], combos] = False
-    complements = np.nonzero(keep)[1].reshape(count, n - k)
-    out_idx = _rank_rows(complements, n)
-    sign = _shuffle_signs(combos)
-    out_idx.flags.writeable = False
+def _hodge_signs(n: int, k: int) -> np.ndarray:
+    """Sign sending each grade-k basis form to its dual.
+
+    The complements of the grade-k indices, taken in lex order, are the
+    grade-(n-k) indices in reverse lex order (see `_combos`), so the dual
+    of coefficient i lands at position C(n, k) - 1 - i.
+    """
+    sign = _shuffle_signs(_combos(n, k))
     sign.flags.writeable = False
-    return out_idx, sign
+    return sign
 
 
 @lru_cache(maxsize=None)
@@ -162,6 +177,78 @@ def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
     for arr in (out_idx, a_idx, b_idx, sign):
         arr.flags.writeable = False
     return out_idx, a_idx, b_idx, sign
+
+
+@lru_cache(maxsize=None)
+def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot-major table (targets, rank, sign) for a k-form wedged with a 1-form.
+
+    Column T is a grade-(k+1) target index and row p one of its slots:
+    targets[p] is T_p, the 1-form's index; rank[p] is the lex rank of T
+    without T_p, the k-form's index, namely
+    C(n,k) - 1 - sum_{j<p} C(n-1-T_j, k-j) - sum_{j>p} C(n-1-T_j, k+1-j),
+    one prefix and one suffix sum over the slots; sign[p] is (-1)^(k-p),
+    the parity of moving T_p past the k - p slots after it.
+    """
+    targets = _combos(n, k + 1).T
+    table = _binomials(n)
+    below = n - 1 - np.arange(n)
+    rank = np.empty(targets.shape, dtype=np.intp)
+    running = np.full(targets.shape[1], math.comb(n, k) - 1, dtype=np.intp)
+    for p in range(k + 1):
+        rank[p] = running
+        running -= table[below, k - p][targets[p]]
+    running[:] = 0
+    for p in range(k, -1, -1):
+        rank[p] -= running
+        running += table[below, k + 1 - p][targets[p]]
+    sign = np.where((k - np.arange(k + 1)) % 2 == 0, 1.0, -1.0)
+    rank.flags.writeable = False
+    sign.flags.writeable = False
+    return targets, rank, sign
+
+
+# Up to this many targets C(n, k+1), the grade-1 kernels gather every slot
+# at once; above it they loop over the slots, whose gathers stay small.
+# Measured crossover: 2-D faster at C(n, k+1) <= 2024, slower from 3003 on.
+_WHOLE_TABLE_MAX = 2048
+
+
+def _wedge_vector(a: np.ndarray, v: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Coefficients of (k-form a) ^ (1-form v), on bare coefficient arrays."""
+    targets, rank, sign = _grade1_table(n, k)
+    if targets.shape[1] <= _WHOLE_TABLE_MAX:
+        return sign @ (a[rank] * v[targets])
+    out = np.zeros(targets.shape[1])
+    for p in range(k + 1):
+        term = a[rank[p]]
+        term *= v[targets[p]]
+        if sign[p] > 0:
+            out += term
+        else:
+            out -= term
+    return out
+
+
+def _contract_vector(a: np.ndarray, c: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Coefficients of the 1-form contract(k-form a, (k+1)-form c), on bare arrays."""
+    targets, rank, sign = _grade1_table(n, k)
+    if targets.shape[1] <= _WHOLE_TABLE_MAX:
+        terms = a[rank] * c
+        terms *= sign[:, None]
+        return np.bincount(targets.ravel(), weights=terms.ravel(), minlength=n)
+    out = np.zeros(n)
+    for p in range(k + 1):
+        term = a[rank[p]]
+        term *= c
+        out += sign[p] * np.bincount(targets[p], weights=term, minlength=n)
+    return out
+
+
+def _clear_caches() -> None:
+    """Drop every cached table, so the next operation builds its tables cold."""
+    for table in (_binomials, _combos, _grade1_table, _hodge_signs, _wedge_table):
+        table.cache_clear()
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +374,9 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
     Bilinear, associative and graded-anticommutative; the coefficient of a
     sorted target index is the shuffle-signed sum over all splits between
-    the factors, with no factorial averaging.
+    the factors, with no factorial averaging.  With a grade-1 factor the
+    sum runs over the slots of the target in the cached grade-1 table;
+    otherwise over every split in the general shuffle table.
     """
     if not isinstance(a, KForm) or not isinstance(b, KForm):
         raise DomainError("wedge expects two KForm operands")
@@ -300,6 +389,11 @@ def wedge(a: KForm, b: KForm) -> KForm:
         return KForm(b.n, b.k, a.coeffs[0] * b.coeffs)
     if b.k == 0:
         return KForm(a.n, a.k, b.coeffs[0] * a.coeffs)
+    if b.k == 1:
+        return KForm(a.n, grade, _wedge_vector(a.coeffs, b.coeffs, a.n, a.k))
+    if a.k == 1:
+        coeffs = _wedge_vector(b.coeffs, a.coeffs, a.n, b.k)
+        return KForm(a.n, grade, -coeffs if b.k % 2 else coeffs)
     out_idx, a_idx, b_idx, sign = _wedge_table(a.n, a.k, b.k)
     terms = sign * a.coeffs[a_idx] * b.coeffs[b_idx]
     coeffs = np.bincount(out_idx, weights=terms, minlength=math.comb(a.n, grade))
@@ -310,9 +404,10 @@ def contract(a: KForm, c: KForm) -> KForm:
     """Interior product of the (k+l)-form `c` by the k-form `a`.
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
-    inner(x, contract(a, c)) for every l-form x.  It runs the same cached
-    wedge table backwards, gathering from the product slots and summing
-    into the second factor's slots.
+    inner(x, contract(a, c)) for every l-form x.  It runs the wedge tables
+    backwards, gathering from the product's coefficients and summing into
+    the second factor's: the grade-1 table when the result is a 1-form,
+    the general shuffle table otherwise.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
@@ -321,6 +416,8 @@ def contract(a: KForm, c: KForm) -> KForm:
     grade = c.k - a.k
     if grade < 0:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
+    if grade == 1:
+        return KForm(a.n, 1, _contract_vector(a.coeffs, c.coeffs, a.n, a.k))
     out_idx, a_idx, b_idx, sign = _wedge_table(a.n, a.k, grade)
     terms = sign * a.coeffs[a_idx] * c.coeffs[out_idx]
     coeffs = np.bincount(b_idx, weights=terms, minlength=math.comb(a.n, grade))
@@ -335,10 +432,8 @@ def hodge(a: KForm) -> KForm:
     """
     if not isinstance(a, KForm):
         raise DomainError("hodge expects a KForm")
-    out_idx, sign = _hodge_table(a.n, a.k)
-    coeffs = np.empty(math.comb(a.n, a.n - a.k))
-    coeffs[out_idx] = sign * a.coeffs
-    return KForm(a.n, a.n - a.k, coeffs)
+    coeffs = _hodge_signs(a.n, a.k) * a.coeffs
+    return KForm(a.n, a.n - a.k, coeffs[::-1])
 
 
 def inner(a: KForm, b: KForm) -> float:

@@ -6,23 +6,23 @@ x -> A ^ x is ||A|| times an isometry on the null space of the rows and
 zero on their span, so this interior product, its adjoint applied to
 A ^ b, is the Gram determinant of the rows times the component of b
 orthogonal to the row span.  It is the paper's double dual
-*(A ^ *(b ^ A)) times (-1)^(n+1), but needs only the grade-(m+1) wedge
-table and no complement-grade one, and b dotted with it is ||A ^ b||^2,
-never negative.  `constraint_form` folds the rows with `wedge` when
-2m <= n and takes the minors as a batch of determinants otherwise.
+*(A ^ *(b ^ A)) times (-1)^(n+1), but needs only the grade-1 table for
+(m, 1) from `forms` and no complement-grade one, and b dotted with it is
+||A ^ b||^2, never negative.  `constraint_form` folds the rows through the
+same grade-1 kernel when 2m <= n and takes the minors as a batch of
+determinants otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _combos, contract, from_vector, hodge, wedge
+from .forms import KForm, _check_dimension, _combos, _wedge_vector, contract, from_vector, wedge
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -33,7 +33,6 @@ __all__ = [
     "SolveStatus",
     "constraint_form",
     "degenerate_direction",
-    "dual_form",
     "independent_rows",
     "objective_value",
     "optimal_direction",
@@ -146,10 +145,12 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     """Wedge of all constraint rows, a_1 ^ ... ^ a_m.
 
     The coefficient on a sorted multi-index I equals the m x m minor of the
-    row matrix on columns I.  When 2m <= n the rows are folded with `wedge`:
-    no intermediate form is larger than the result, with C(n, m)
-    coefficients, and the tables hold about sum_{k<=m} C(n, k) k entries,
-    fewer than the C(n, m) m^2 of a gather of every minor.  When 2m > n the
+    row matrix on columns I.  When 2m <= n the rows are folded, one wedge
+    with a vector per row, on bare coefficient arrays through the grade-1
+    kernel that `wedge` uses: no intermediate form is larger than the
+    result, with C(n, m) coefficients, and the tables hold about
+    2 sum_{k<=m} C(n, k) k entries, fewer than the C(n, m) m^2 of a gather
+    of every minor.  When 2m > n the
     fold would pass through grade n/2, with C(n, n/2) coefficients against
     C(n, m) minors, so the minors are evaluated directly as a batch of
     determinants.  The choice depends only on the shape.
@@ -158,22 +159,12 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     if m == 0:
         raise DomainError("an unconstrained system has no constraint form")
     if 2 * m <= n:
-        return reduce(wedge, map(from_vector, system.rows))
+        coeffs = system.rows[0]
+        for k, row in enumerate(system.rows[1:], 1):
+            coeffs = _wedge_vector(coeffs, row, n, k)
+        return KForm(n, m, coeffs)
     submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
     return KForm(n, m, np.linalg.det(submatrices))
-
-
-def dual_form(objective: Objective, constraint: KForm) -> KForm:
-    """Hodge dual of (objective 1-form ^ constraint form).
-
-    Zero exactly when the objective vector lies in the constraint row span.
-    """
-    if objective.b.shape[0] != constraint.n:
-        raise DomainError(
-            f"objective has {objective.b.shape[0]} components "
-            f"but the form lives over R^{constraint.n}"
-        )
-    return hodge(wedge(from_vector(objective.b), constraint))
 
 
 def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int]:

@@ -36,11 +36,6 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def clear_form_caches():
-    for table in (forms._binomials, forms._combos, forms._hodge_table, forms._wedge_table):
-        table.cache_clear()
-
-
 @pytest.fixture(scope="module")
 def theorem_batch():
     """1000 random Gaussian instances solved by both paths (criteria 1 and 2)."""
@@ -362,7 +357,7 @@ def test_criterion_8_complexification():
 
 
 def test_criterion_9_performance():
-    clear_form_caches()
+    forms._clear_caches()
     rng = np.random.default_rng(5)
     system = ConstraintSystem(rng.standard_normal((8, 16)))
     objective = Objective(rng.standard_normal(16))
@@ -372,7 +367,7 @@ def test_criterion_9_performance():
     assert solution.status is SolveStatus.OPTIMAL
     assert relative_residual(system.rows, solution.direction) <= 1e-9
 
-    clear_form_caches()
+    forms._clear_caches()
     start = time.perf_counter()
     _, ok = self_test(12, 6, 100, 3)
     batch = time.perf_counter() - start

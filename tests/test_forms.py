@@ -1,5 +1,6 @@
 """Exterior algebra unit and property tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import brute_hodge, brute_wedge
+from wedgeopt import forms
 from wedgeopt.errors import DomainError
 from wedgeopt.forms import (
     KForm,
@@ -237,6 +239,39 @@ class TestContract:
                     assert np.allclose(out.coeffs, expected, rtol=1e-12, atol=1e-12)
                     lhs = brute_wedge(n, k, l, a, x) @ c.coeffs
                     assert lhs == pytest.approx(inner(KForm(n, l, x), out), rel=1e-10, abs=1e-12)
+
+
+class TestGradeOneKernel:
+    """The compact (k, 1) table that wedge and contract use whenever one
+    factor, or the result, is grade 1, against the general shuffle table."""
+
+    @staticmethod
+    def general(n, k, a, v, c):
+        out_idx, a_idx, b_idx, sign = forms._wedge_table(n, k, 1)
+        product = np.bincount(out_idx, weights=sign * a[a_idx] * v[b_idx], minlength=len(c))
+        interior = np.bincount(b_idx, weights=sign * a[a_idx] * c[out_idx], minlength=n)
+        return product, interior
+
+    def test_matches_general_table(self):
+        rng = np.random.default_rng(13)
+        for n in range(2, 11):
+            for k in range(1, n):
+                a = rng.standard_normal(math.comb(n, k))
+                v = rng.standard_normal(n)
+                c = rng.standard_normal(math.comb(n, k + 1))
+                product, interior = self.general(n, k, a, v, c)
+                form, vector = KForm(n, k, a), from_vector(v)
+                assert np.max(np.abs(wedge(form, vector).coeffs - product)) <= 1e-13
+                flipped = (-1) ** k * wedge(vector, form).coeffs
+                assert np.max(np.abs(flipped - product)) <= 1e-13
+                interior_form = contract(form, KForm(n, k + 1, c))
+                assert np.max(np.abs(interior_form.coeffs - interior)) <= 1e-13
+
+    def test_combos_match_itertools(self):
+        for n in range(1, 13):
+            for k in range(0, n + 1):
+                expected = list(itertools.combinations(range(n), k))
+                assert [tuple(row) for row in forms._combos(n, k).tolist()] == expected
 
 
 class TestHodge:

@@ -11,7 +11,7 @@ from reference import brute_optimal_ray, null_space_axis
 import wedgeopt.forms
 import wedgeopt.solver
 from wedgeopt.errors import DomainError, RankDeficientError
-from wedgeopt.forms import basis_form, from_vector, wedge, _combos
+from wedgeopt.forms import basis_form, from_vector, hodge, wedge, _combos
 from wedgeopt.oracle import oracle_direction, orthonormalize, perpendicular_component
 from wedgeopt.solver import (
     ConstraintSystem,
@@ -19,7 +19,6 @@ from wedgeopt.solver import (
     SolveStatus,
     constraint_form,
     degenerate_direction,
-    dual_form,
     objective_value,
     optimal_direction,
     triple_product_direction,
@@ -103,38 +102,43 @@ class TestConstraintForm:
                 if 2 * m <= n:
                     patch.setattr(wedgeopt.solver, "_combos", refuse("the minor gather"))
                 else:
-                    patch.setattr(wedgeopt.solver, "wedge", refuse("the wedge fold"))
+                    patch.setattr(wedgeopt.solver, "_wedge_vector", refuse("the wedge fold"))
                 form = constraint_form(system)
             minors = [np.linalg.det(system.rows[:, combo]) for combo in _combos(n, m)]
             assert np.allclose(form.coeffs, minors, rtol=1e-10, atol=1e-12)
 
 
+def dual_form(objective, system):
+    """Hodge dual of b ^ A: zero exactly when b lies in the row span."""
+    return hodge(wedge(from_vector(objective.b), constraint_form(system)))
+
+
 class TestDualForm:
     def test_matches_cross_product(self):
         system = ConstraintSystem([[0.0, 0.0, 1.0]])
-        form = dual_form(Objective([1.0, 0.0, 0.0]), constraint_form(system))
+        form = dual_form(Objective([1.0, 0.0, 0.0]), system)
         assert np.allclose(form.coeffs, [0.0, -1.0, 0.0])
         assert np.allclose(form.coeffs, np.cross([1.0, 0, 0], [0.0, 0, 1.0]))
 
     def test_parallel_vectors_vanish(self):
         system = ConstraintSystem([[0.0, 0.0, 1.0]])
-        form = dual_form(Objective([0.0, 0.0, 2.0]), constraint_form(system))
+        form = dual_form(Objective([0.0, 0.0, 2.0]), system)
         assert np.max(np.abs(form.coeffs)) <= 1e-14
 
     def test_four_dimensional_example(self):
         # parity of (3, 1, 2, 4) is even
         system = ConstraintSystem([[1, 0, 0, 0], [0, 1, 0, 0]])
-        form = dual_form(Objective([0.0, 0.0, 1.0, 0.0]), constraint_form(system))
+        form = dual_form(Objective([0.0, 0.0, 1.0, 0.0]), system)
         assert np.array_equal(form.coeffs, basis_form(4, [4]).coeffs)
 
     def test_zero_iff_in_row_span(self):
         rng = np.random.default_rng(23)
         for n, m in [(4, 2), (6, 3), (9, 5)]:
             system, objective = random_instance(rng, n, m)
-            form = dual_form(objective, constraint_form(system))
+            form = dual_form(objective, system)
             assert form.norm() > 1e-8
             spanned = Objective(span_combination(rng, system.rows))
-            spanned_form = dual_form(spanned, constraint_form(system))
+            spanned_form = dual_form(spanned, system)
             scale = constraint_form(system).norm() * np.linalg.norm(spanned.b)
             assert spanned_form.norm() <= 1e-12 * scale
 
@@ -257,7 +261,7 @@ class TestOptimalDirection:
         def refuse(form):
             raise AssertionError("the solve called hodge")
 
-        monkeypatch.setattr(wedgeopt.solver, "hodge", refuse)
+        assert not hasattr(wedgeopt.solver, "hodge")
         monkeypatch.setattr(wedgeopt.forms, "hodge", refuse)
         rng = np.random.default_rng(39)
         for n, m in [(3, 1), (8, 4), (7, 5)]:
@@ -266,6 +270,20 @@ class TestOptimalDirection:
             spanned = Objective(span_combination(rng, system.rows))
             assert optimal_direction(system, spanned).status is SolveStatus.DEGENERATE
             assert objective_value(system, objective, 1.0) > 0.0
+
+    def test_solve_uses_only_grade_one_tables(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"the solve built the general wedge table {args}")
+
+        monkeypatch.setattr(wedgeopt.forms, "_wedge_table", refuse)
+        rng = np.random.default_rng(40)
+        for n, m in [(3, 1), (8, 4), (7, 5), (12, 3), (10, 9)]:
+            system, objective = random_instance(rng, n, m)
+            assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
+            spanned = Objective(span_combination(rng, system.rows))
+            assert optimal_direction(system, spanned).status is SolveStatus.DEGENERATE
+            assert objective_value(system, objective, 1.0) > 0.0
+            assert np.linalg.norm(degenerate_direction(system)) == pytest.approx(1.0)
 
     def test_rank_rule_ignores_per_row_scale(self):
         # Gram-Schmidt against the running row scale calls these rows dependent;
@@ -303,21 +321,20 @@ class TestSolveMemory:
     def cold_peak_mb(n, m):
         rng = np.random.default_rng(n * 100 + m)
         system, objective = random_instance(rng, n, m)
-        names = ("_binomials", "_combos", "_hodge_table", "_wedge_table")
-        tables = [getattr(wedgeopt.forms, name) for name in names]
-        for table in tables:
-            table.cache_clear()
+        wedgeopt.forms._clear_caches()
         tracemalloc.start()
         try:
             assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
             return tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-            for table in tables:
-                table.cache_clear()
+            wedgeopt.forms._clear_caches()
 
     def test_wide_shape_peak(self):
         assert self.cold_peak_mb(32, 4) < 250.0
+
+    def test_half_shape_peak(self):
+        assert self.cold_peak_mb(18, 9) < 70.0
 
     @pytest.mark.parametrize("n, m", [(24, 22), (32, 31)])
     def test_tall_shape_peak(self, n, m):
