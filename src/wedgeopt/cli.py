@@ -125,6 +125,13 @@ def _real_scalar(value, where: str) -> float:
     return float(value)
 
 
+def _tolerance(value: float, where: str) -> float:
+    # json parses NaN, and 1e400 as inf; neither is a usable coefficient
+    if not 0.0 < value < np.inf:
+        raise ValidationError(f"{where} must be a finite positive number, got {value!r}")
+    return value
+
+
 def _complex_scalar(value, where: str) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected a [re, im] pair, got {value!r}")
@@ -177,9 +184,7 @@ def parse_problem(path: str) -> ProblemSpec:
         raise ParseError(f"objective_part: expected 're' or 'im', got {part!r}")
     tolerance = doc.get("tolerance")
     if tolerance is not None:
-        tolerance = _real_scalar(tolerance, "tolerance")
-        if tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        tolerance = _tolerance(_real_scalar(tolerance, "tolerance"), "tolerance")
 
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
@@ -282,10 +287,11 @@ def _check_failures(
     if status != oracle_status:
         return [f"status mismatch: solver={status}, oracle={oracle_status}"]
     reasons = []
-    if cosine is not None and cosine < 1.0 - CHECK_COSINE_TOLERANCE:
+    # written so that a NaN fails each gate
+    if cosine is not None and not cosine >= 1.0 - CHECK_COSINE_TOLERANCE:
         reasons.append(f"direction agreement too low: cosine={cosine!r}")
     scale = max(abs(objective), abs(oracle_objective))
-    if scale > 0.0 and abs(objective - oracle_objective) > CHECK_OBJECTIVE_TOLERANCE * scale:
+    if not abs(objective - oracle_objective) <= CHECK_OBJECTIVE_TOLERANCE * scale:
         reasons.append(f"objective mismatch: solver={objective!r}, oracle={oracle_objective!r}")
     return reasons
 
@@ -320,6 +326,8 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
         raise ValidationError(f"self-test requires 0 <= m < n, got m={m}, n={n}")
     if trials < 0:
         raise ValidationError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     max_residual = 0.0
@@ -491,8 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if (args.input is None) == (args.self_test is None):
             raise ValidationError("exactly one of --input or --self-test is required")
-        if args.tolerance is not None and not args.tolerance > 0:
-            raise ValidationError("--tolerance must be positive")
+        if args.tolerance is not None:
+            _tolerance(args.tolerance, "--tolerance")
 
         if args.self_test is not None:
             report, ok = self_test(*args.self_test)

@@ -8,11 +8,10 @@ that ordering.  All values are immutable after construction and all
 operations are pure functions, so everything is safe to share between
 threads.
 
-Products and contractions with a grade-1 factor or result, the only ones a
-solve takes, run on a compact cached table per (n, k): for every
-grade-(k+1) index and every slot in it, the vector's index and the rank of
-the k-index left over.  Other grades use a general shuffle table that
-lists every split of every target index.
+Every product and contraction runs on one cached split table: for every
+grade-(k+l) index and every split of its slots, the ranks of the two parts
+and the sign.  Only the grade-1 tables, all that a solve uses, are built
+directly; every other split table is composed from them.
 """
 
 from __future__ import annotations
@@ -113,70 +112,20 @@ def _combos(n: int, k: int) -> np.ndarray:
     return out
 
 
-def _rank_rows(cols: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic rank of each sorted 0-based index row among C(n, k)."""
-    k = cols.shape[-1]
-    if k == 0:
-        return np.zeros(cols.shape[:-1], dtype=np.intp)
-    table = _binomials(n)
-    below = n - 1 - np.arange(n)
-    # One small lookup per position: cheaper than a 2-d gather of the table.
-    offsets = np.zeros(cols.shape[:-1], dtype=np.int64)
-    for j in range(k):
-        offsets += table[below, k - j][cols[..., j]]
-    return (int(table[n, k]) - 1 - offsets).astype(np.intp, copy=False)
-
-
-def _shuffle_signs(positions: np.ndarray) -> np.ndarray:
-    """Parity of moving the selected slots (each row, sorted) to the front.
-
-    For sorted slot positions p_0 < ... < p_{k-1} inside a longer sorted
-    tuple, the number of transpositions needed is sum(p_j - j).
-    """
-    k = positions.shape[-1]
-    if k == 0:
-        return np.ones(positions.shape[:-1])
-    swaps = (positions - np.arange(k)).sum(axis=-1)
-    return np.where(swaps % 2 == 0, 1.0, -1.0)
-
-
 @lru_cache(maxsize=None)
 def _hodge_signs(n: int, k: int) -> np.ndarray:
     """Sign sending each grade-k basis form to its dual.
 
     The complements of the grade-k indices, taken in lex order, are the
     grade-(n-k) indices in reverse lex order (see `_combos`), so the dual
-    of coefficient i lands at position C(n, k) - 1 - i.
+    of coefficient i lands at position C(n, k) - 1 - i.  The sign is the
+    parity of moving the index's sorted slots I to the front of (0, ..., n-1),
+    sum(I_j - j) transpositions.
     """
-    sign = _shuffle_signs(_combos(n, k))
+    swaps = (_combos(n, k) - np.arange(k)).sum(axis=1)
+    sign = np.where(swaps % 2 == 0, 1.0, -1.0)
     sign.flags.writeable = False
     return sign
-
-
-@lru_cache(maxsize=None)
-def _wedge_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """COO assembly table (out, a, b, sign) for a k-form wedged with an l-form.
-
-    Iterates over each grade-(k+l) target multi-index and the C(k+l, k) ways
-    of splitting it between the factors, so the cost never exceeds the number
-    of genuinely contributing (disjoint) index pairs.
-    """
-    grade = k + l
-    targets = _combos(n, grade)
-    slots = _combos(grade, k)
-    keep = np.ones((slots.shape[0], grade), dtype=bool)
-    if k:
-        keep[np.arange(slots.shape[0])[:, None], slots] = False
-    other = np.nonzero(keep)[1].reshape(slots.shape[0], grade - k)
-    sign_per_slot = _shuffle_signs(slots)
-
-    a_idx = _rank_rows(targets[:, slots], n).ravel()
-    b_idx = _rank_rows(targets[:, other], n).ravel()
-    out_idx = np.repeat(np.arange(targets.shape[0], dtype=np.intp), slots.shape[0])
-    sign = np.tile(sign_per_slot, targets.shape[0])
-    for arr in (out_idx, a_idx, b_idx, sign):
-        arr.flags.writeable = False
-    return out_idx, a_idx, b_idx, sign
 
 
 @lru_cache(maxsize=None)
@@ -208,21 +157,68 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return targets, rank, sign
 
 
-# Up to this many targets C(n, k+1), the grade-1 kernels gather every slot
-# at once; above it they loop over the slots, whose gathers stay small.
-# Measured crossover: 2-D faster at C(n, k+1) <= 2024, slower from 3003 on.
+@lru_cache(maxsize=None)
+def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot-major table (k_rank, l_rank, sign) for a k-form wedged with an l-form, k >= l.
+
+    Column T is a grade-(k+l) index; row s gives the l-form the slots in
+    row s of _combos(k+l, l).  Those slots are removed largest first, so the
+    ones below keep their positions, each by a gather in the grade-1 table
+    of the current grade, which also gives the sign of moving it to the
+    back; each removed element e is prepended to the l-part, whose rank
+    grows as rank_{i+1} = C(n,i+1) - C(n,i) - C(n-1-e,i+1) + rank_i.
+    """
+    grade = k + l
+    targets = _combos(n, grade).T
+    splits = _combos(grade, l)
+    table = _binomials(n)
+    below = n - 1 - np.arange(n)
+    k_rank = np.broadcast_to(np.arange(targets.shape[1]), (splits.shape[0], targets.shape[1]))
+    l_rank = np.zeros(k_rank.shape, dtype=np.intp)
+    sign = np.ones(splits.shape[0])
+    for i in range(l):
+        slot = splits[:, l - 1 - i]
+        _, rank, slot_sign = _grade1_table(n, grade - 1 - i)
+        k_rank = rank[slot[:, None], k_rank]
+        sign *= slot_sign[slot]
+        l_rank += table[n, i + 1] - table[n, i]
+        l_rank -= table[below, i + 1][targets[slot]]
+    for arr in (k_rank, l_rank, sign):
+        arr.flags.writeable = False
+    return k_rank, l_rank, sign
+
+
+def _table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot-major (k_rank, l_rank, sign) over every split of every grade-(k+l) index.
+
+    The grade-1 table when l is 1, the (l, k) table with its roles swapped
+    and its sign times (-1)^(kl) when k < l, the split table otherwise.
+    """
+    if k < l:
+        l_rank, k_rank, sign = _table(n, l, k)
+        return k_rank, l_rank, -sign if k * l % 2 else sign
+    if l == 1:
+        targets, rank, sign = _grade1_table(n, k)
+        return rank, targets, sign
+    return _split_table(n, k, l)
+
+
+# Up to this many targets C(n, k+l), the kernels gather every split at
+# once; above it they loop over the splits, whose gathers stay small.
+# Measured crossover (grade-1 tables): 2-D faster at C(n, k+1) <= 2024,
+# slower from 3003 on.
 _WHOLE_TABLE_MAX = 2048
 
 
-def _wedge_vector(a: np.ndarray, v: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Coefficients of (k-form a) ^ (1-form v), on bare coefficient arrays."""
-    targets, rank, sign = _grade1_table(n, k)
-    if targets.shape[1] <= _WHOLE_TABLE_MAX:
-        return sign @ (a[rank] * v[targets])
-    out = np.zeros(targets.shape[1])
-    for p in range(k + 1):
-        term = a[rank[p]]
-        term *= v[targets[p]]
+def _product(a: np.ndarray, b: np.ndarray, *table: np.ndarray) -> np.ndarray:
+    """Coefficients of (k-form a) ^ (l-form b), on bare arrays; `table` is _table(n, k, l)."""
+    k_rank, l_rank, sign = table
+    if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
+        return sign @ (a[k_rank] * b[l_rank])
+    out = np.zeros(k_rank.shape[1])
+    for p in range(sign.shape[0]):
+        term = a[k_rank[p]]
+        term *= b[l_rank[p]]
         if sign[p] > 0:
             out += term
         else:
@@ -230,24 +226,24 @@ def _wedge_vector(a: np.ndarray, v: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _contract_vector(a: np.ndarray, c: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Coefficients of the 1-form contract(k-form a, (k+1)-form c), on bare arrays."""
-    targets, rank, sign = _grade1_table(n, k)
-    if targets.shape[1] <= _WHOLE_TABLE_MAX:
-        terms = a[rank] * c
+def _interior(a: np.ndarray, c: np.ndarray, size: int, *table: np.ndarray) -> np.ndarray:
+    """The `size` coefficients of contract(k-form a, (k+l)-form c), on bare arrays."""
+    k_rank, l_rank, sign = table
+    if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
+        terms = a[k_rank] * c
         terms *= sign[:, None]
-        return np.bincount(targets.ravel(), weights=terms.ravel(), minlength=n)
-    out = np.zeros(n)
-    for p in range(k + 1):
-        term = a[rank[p]]
+        return np.bincount(l_rank.ravel(), weights=terms.ravel(), minlength=size)
+    out = np.zeros(size)
+    for p in range(sign.shape[0]):
+        term = a[k_rank[p]]
         term *= c
-        out += sign[p] * np.bincount(targets[p], weights=term, minlength=n)
+        out += sign[p] * np.bincount(l_rank[p], weights=term, minlength=size)
     return out
 
 
 def _clear_caches() -> None:
     """Drop every cached table, so the next operation builds its tables cold."""
-    for table in (_binomials, _combos, _grade1_table, _hodge_signs, _wedge_table):
+    for table in (_binomials, _combos, _grade1_table, _hodge_signs, _split_table):
         table.cache_clear()
 
 
@@ -374,9 +370,8 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
     Bilinear, associative and graded-anticommutative; the coefficient of a
     sorted target index is the shuffle-signed sum over all splits between
-    the factors, with no factorial averaging.  With a grade-1 factor the
-    sum runs over the slots of the target in the cached grade-1 table;
-    otherwise over every split in the general shuffle table.
+    the factors, with no factorial averaging, taken over the split table
+    for the two grades (the grade-1 table when one factor is a vector).
     """
     if not isinstance(a, KForm) or not isinstance(b, KForm):
         raise DomainError("wedge expects two KForm operands")
@@ -385,29 +380,16 @@ def wedge(a: KForm, b: KForm) -> KForm:
     grade = a.k + b.k
     if grade > a.n:
         raise DomainError(f"grades {a.k} + {b.k} exceed the ambient dimension {a.n}")
-    if a.k == 0:
-        return KForm(b.n, b.k, a.coeffs[0] * b.coeffs)
-    if b.k == 0:
-        return KForm(a.n, a.k, b.coeffs[0] * a.coeffs)
-    if b.k == 1:
-        return KForm(a.n, grade, _wedge_vector(a.coeffs, b.coeffs, a.n, a.k))
-    if a.k == 1:
-        coeffs = _wedge_vector(b.coeffs, a.coeffs, a.n, b.k)
-        return KForm(a.n, grade, -coeffs if b.k % 2 else coeffs)
-    out_idx, a_idx, b_idx, sign = _wedge_table(a.n, a.k, b.k)
-    terms = sign * a.coeffs[a_idx] * b.coeffs[b_idx]
-    coeffs = np.bincount(out_idx, weights=terms, minlength=math.comb(a.n, grade))
-    return KForm(a.n, grade, coeffs)
+    return KForm(a.n, grade, _product(a.coeffs, b.coeffs, *_table(a.n, a.k, b.k)))
 
 
 def contract(a: KForm, c: KForm) -> KForm:
     """Interior product of the (k+l)-form `c` by the k-form `a`.
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
-    inner(x, contract(a, c)) for every l-form x.  It runs the wedge tables
-    backwards, gathering from the product's coefficients and summing into
-    the second factor's: the grade-1 table when the result is a 1-form,
-    the general shuffle table otherwise.
+    inner(x, contract(a, c)) for every l-form x.  It runs the split table
+    of wedge(a, x) backwards, gathering from the product's coefficients and
+    summing into the second factor's.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
@@ -416,12 +398,8 @@ def contract(a: KForm, c: KForm) -> KForm:
     grade = c.k - a.k
     if grade < 0:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
-    if grade == 1:
-        return KForm(a.n, 1, _contract_vector(a.coeffs, c.coeffs, a.n, a.k))
-    out_idx, a_idx, b_idx, sign = _wedge_table(a.n, a.k, grade)
-    terms = sign * a.coeffs[a_idx] * c.coeffs[out_idx]
-    coeffs = np.bincount(b_idx, weights=terms, minlength=math.comb(a.n, grade))
-    return KForm(a.n, grade, coeffs)
+    size = math.comb(a.n, grade)
+    return KForm(a.n, grade, _interior(a.coeffs, c.coeffs, size, *_table(a.n, a.k, grade)))
 
 
 def hodge(a: KForm) -> KForm:

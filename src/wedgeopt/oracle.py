@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import DomainError, RankDeficientError
 from .solver import (
-    DEGENERACY_TOLERANCE,
     RANK_TOLERANCE,
     ConstraintSystem,
     Objective,
     Solution,
     SolveStatus,
     _check_pair,
+    _degeneracy_coefficient,
 )
 
 __all__ = [
@@ -155,6 +155,7 @@ def oracle_direction(
     The raw field carries the product of squared Gram-Schmidt scales times
     the projected objective, which reproduces the solver's unnormalized ray.
     """
+    coeff = _degeneracy_coefficient(tolerance)
     _check_pair(system, objective)
     b = objective.b
     sigma = 1.0 if objective.mode == "max" else -1.0
@@ -164,7 +165,6 @@ def oracle_direction(
     basis = _full_basis(system)
     perp = perpendicular_component(b, basis)
     raw = float(np.prod(np.square(basis.scales))) * perp
-    coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     perp_norm = float(np.linalg.norm(perp))
     if perp_norm <= coeff * float(np.linalg.norm(b)):
         return Solution(_first_free_axis(basis), raw, 0.0, SolveStatus.DEGENERATE)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _combos, _wedge_vector, contract, from_vector, wedge
+from .forms import KForm, _check_dimension, _combos, _product, _table, contract, from_vector, wedge
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -141,6 +141,14 @@ def _check_pair(system: ConstraintSystem, objective: Objective) -> None:
         )
 
 
+def _degeneracy_coefficient(tolerance: float | None) -> float:
+    """The degeneracy coefficient in force: DEGENERACY_TOLERANCE or a finite positive override."""
+    coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
+    if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
+        raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
+    return coeff
+
+
 def constraint_form(system: ConstraintSystem) -> KForm:
     """Wedge of all constraint rows, a_1 ^ ... ^ a_m.
 
@@ -161,7 +169,7 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     if 2 * m <= n:
         coeffs = system.rows[0]
         for k, row in enumerate(system.rows[1:], 1):
-            coeffs = _wedge_vector(coeffs, row, n, k)
+            coeffs = _product(coeffs, row, *_table(n, k, 1))
         return KForm(n, m, coeffs)
     submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
     return KForm(n, m, np.linalg.det(submatrices))
@@ -228,8 +236,9 @@ def optimal_direction(
     the objective value is zero.
 
     `tolerance` overrides the relative degeneracy coefficient
-    (default DEGENERACY_TOLERANCE).
+    (default DEGENERACY_TOLERANCE); it must be finite and positive.
     """
+    coeff = _degeneracy_coefficient(tolerance)
     _check_pair(system, objective)
     b = objective.b
     sigma = 1.0 if objective.mode == "max" else -1.0
@@ -238,7 +247,6 @@ def optimal_direction(
         return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
     constraint = _full_rank_form(system)
     raw = _ray(constraint, objective)
-    coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm <= coeff * constraint.norm() ** 2 * float(np.linalg.norm(b)):
         return Solution(_first_free_ray(constraint), raw, 0.0, SolveStatus.DEGENERATE)

@@ -87,6 +87,29 @@ def brute_wedge(n, p, q, a_coeffs, b_coeffs):
     return sorted_coeffs(out, n, r)
 
 
+def shuffle_products(n, k, l, a, b, c):
+    """Explicit shuffle sums: the coefficients of a ^ b and of contract(a, c).
+
+    Every split of every sorted (k+l)-tuple T between a k-tuple and an
+    l-tuple adds sign * a[K] * b[L] to the product at T and
+    sign * a[K] * c[T] to the interior product at L, where sign is the
+    parity of the concatenation (K, L).
+    """
+    k_pos = {combo: i for i, combo in enumerate(itertools.combinations(range(n), k))}
+    l_pos = {combo: i for i, combo in enumerate(itertools.combinations(range(n), l))}
+    product = np.zeros(len(c))
+    interior = np.zeros(len(l_pos))
+    for slots in itertools.combinations(range(k + l), k):
+        rest = tuple(i for i in range(k + l) if i not in slots)
+        sign = permutation_sign(slots + rest)
+        for t, target in enumerate(itertools.combinations(range(n), k + l)):
+            term = sign * a[k_pos[tuple(target[i] for i in slots)]]
+            low = l_pos[tuple(target[i] for i in rest)]
+            product[t] += term * b[low]
+            interior[low] += term * c[t]
+    return product, interior
+
+
 def brute_optimal_ray(rows, b):
     """Literal double Levi-Civita contraction for the optimal ray at unit scale."""
     rows = np.asarray(rows, dtype=float)

@@ -1,6 +1,7 @@
 """CLI tests: parsing, end-to-end solves, exit codes, formats, self-test."""
 
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 from wedgeopt.cli import evaluate_check, main, parse_problem, run_solve, self_test
-from wedgeopt.errors import ParseError, ValidationError
+from wedgeopt.complexify import ComplexProblem, solve_complex
+from wedgeopt.errors import DomainError, ParseError, ValidationError
+from wedgeopt.oracle import oracle_direction
+from wedgeopt.solver import ConstraintSystem, Objective, optimal_direction
 
 SIMPLE_3D = {
     "field": "real",
@@ -96,6 +100,23 @@ class TestParseProblem:
             parse_problem(write_problem(tmp_path, doc))
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_unusable_tolerance_rejected(tmp_path, capsys, tolerance):
+    # json.dumps writes NaN and Infinity, which json parses back
+    path = write_problem(tmp_path, dict(SIMPLE_3D, tolerance=tolerance))
+    assert main(["--input", path, "--check"]) == 1
+    assert "tolerance" in json.loads(capsys.readouterr().err)["error"]["message"]
+    path = write_problem(tmp_path, SIMPLE_3D)
+    assert main(["--input", path, "--check", f"--tolerance={tolerance!r}"]) == 1
+    assert "tolerance" in json.loads(capsys.readouterr().err)["error"]["message"]
+    system, objective = ConstraintSystem([[0.0, 0.0, 1.0]]), Objective([1.0, 0.0, 0.0])
+    for solve in (optimal_direction, oracle_direction):
+        with pytest.raises(DomainError, match="tolerance"):
+            solve(system, objective, tolerance)
+    with pytest.raises(DomainError, match="tolerance"):
+        solve_complex(ComplexProblem([[0, 1]], [1, 0]), tolerance)
+
+
 class TestRunSolve:
     def test_simple_solve_with_check(self, tmp_path):
         spec = parse_problem(write_problem(tmp_path, SIMPLE_3D))
@@ -105,6 +126,13 @@ class TestRunSolve:
         assert report.residual_max <= 1e-12
         ok, reason = evaluate_check(report)
         assert ok, reason
+
+    def test_check_fails_on_nan(self, tmp_path):
+        report = run_solve(parse_problem(write_problem(tmp_path, SIMPLE_3D)), check_oracle=True)
+        assert evaluate_check(report)[0]
+        for key in ("cosine_agreement", "objective"):
+            ok, reason = evaluate_check(dataclasses.replace(report, **{key: float("nan")}))
+            assert not ok and "nan" in reason
 
     def test_degenerate_reported(self, tmp_path):
         doc = dict(SIMPLE_3D, B=[0, 0, 2])
@@ -347,6 +375,12 @@ class TestSelfTest:
     def test_bad_arguments_exit_1(self, capsys):
         assert main(["--self-test", "3", "3", "5", "0"]) == 1
         capsys.readouterr()
+
+    def test_negative_seed_exit_1(self, capsys):
+        with pytest.raises(ValidationError, match="seed"):
+            self_test(3, 1, 5, -1)
+        assert main(["--self-test", "3", "1", "5", "-1"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
 
     def test_deterministic(self):
         first, _ = self_test(5, 2, 10, 42)

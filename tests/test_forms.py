@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import brute_hodge, brute_wedge
+from reference import brute_hodge, brute_wedge, shuffle_products
 from wedgeopt import forms
 from wedgeopt.errors import DomainError
 from wedgeopt.forms import (
@@ -241,31 +241,52 @@ class TestContract:
                     assert lhs == pytest.approx(inner(KForm(n, l, x), out), rel=1e-10, abs=1e-12)
 
 
-class TestGradeOneKernel:
-    """The compact (k, 1) table that wedge and contract use whenever one
-    factor, or the result, is grade 1, against the general shuffle table."""
+class TestSplitTable:
+    """The one table kind that wedge and contract run on, composed from the
+    grade-1 tables, against an explicit shuffle sum, through both the
+    whole-table and the per-split branch of each kernel."""
 
     @staticmethod
-    def general(n, k, a, v, c):
-        out_idx, a_idx, b_idx, sign = forms._wedge_table(n, k, 1)
-        product = np.bincount(out_idx, weights=sign * a[a_idx] * v[b_idx], minlength=len(c))
-        interior = np.bincount(b_idx, weights=sign * a[a_idx] * c[out_idx], minlength=n)
-        return product, interior
+    def shapes():
+        for n in range(1, 9):
+            for k in range(0, n + 1):
+                for l in range(0, n - k + 1):
+                    yield n, k, l
+        for n in (9, 10):
+            for g in range(1, n):
+                yield n, g, 1
+                yield n, 1, g
 
-    def test_matches_general_table(self):
+    def test_matches_shuffle_sum(self, monkeypatch):
         rng = np.random.default_rng(13)
-        for n in range(2, 11):
-            for k in range(1, n):
-                a = rng.standard_normal(math.comb(n, k))
-                v = rng.standard_normal(n)
-                c = rng.standard_normal(math.comb(n, k + 1))
-                product, interior = self.general(n, k, a, v, c)
-                form, vector = KForm(n, k, a), from_vector(v)
-                assert np.max(np.abs(wedge(form, vector).coeffs - product)) <= 1e-13
-                flipped = (-1) ** k * wedge(vector, form).coeffs
-                assert np.max(np.abs(flipped - product)) <= 1e-13
-                interior_form = contract(form, KForm(n, k + 1, c))
-                assert np.max(np.abs(interior_form.coeffs - interior)) <= 1e-13
+        for n, k, l in self.shapes():
+            a = rng.standard_normal(math.comb(n, k))
+            b = rng.standard_normal(math.comb(n, l))
+            c = rng.standard_normal(math.comb(n, k + l))
+            product, interior = shuffle_products(n, k, l, a, b, c)
+            form = KForm(n, k, a)
+            # 0 sends every shape through the kernels' per-split loops
+            for whole_table_max in (forms._WHOLE_TABLE_MAX, 0):
+                with monkeypatch.context() as patch:
+                    patch.setattr(forms, "_WHOLE_TABLE_MAX", whole_table_max)
+                    wedged = wedge(form, KForm(n, l, b))
+                    contracted = contract(form, KForm(n, k + l, c))
+                assert np.max(np.abs(wedged.coeffs - product)) <= 1e-13
+                assert np.max(np.abs(contracted.coeffs - interior)) <= 1e-13
+
+    def test_vector_into_high_grade_uses_grade_one_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"contract built a split table {args}")
+
+        monkeypatch.setattr(forms, "_split_table", refuse)
+        rng = np.random.default_rng(14)
+        v = from_vector(rng.standard_normal(18))
+        c = KForm(18, 9, rng.standard_normal(math.comb(18, 9)))
+        x = KForm(18, 8, rng.standard_normal(math.comb(18, 8)))
+        out = contract(v, c)
+        assert out.k == 8
+        lhs = inner(wedge(v, x), c)
+        assert lhs == pytest.approx(inner(x, out), rel=1e-10)
 
     def test_combos_match_itertools(self):
         for n in range(1, 13):

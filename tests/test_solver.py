@@ -102,7 +102,7 @@ class TestConstraintForm:
                 if 2 * m <= n:
                     patch.setattr(wedgeopt.solver, "_combos", refuse("the minor gather"))
                 else:
-                    patch.setattr(wedgeopt.solver, "_wedge_vector", refuse("the wedge fold"))
+                    patch.setattr(wedgeopt.solver, "_product", refuse("the wedge fold"))
                 form = constraint_form(system)
             minors = [np.linalg.det(system.rows[:, combo]) for combo in _combos(n, m)]
             assert np.allclose(form.coeffs, minors, rtol=1e-10, atol=1e-12)
@@ -273,9 +273,9 @@ class TestOptimalDirection:
 
     def test_solve_uses_only_grade_one_tables(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError(f"the solve built the general wedge table {args}")
+            raise AssertionError(f"the solve built a split table {args}")
 
-        monkeypatch.setattr(wedgeopt.forms, "_wedge_table", refuse)
+        monkeypatch.setattr(wedgeopt.forms, "_split_table", refuse)
         rng = np.random.default_rng(40)
         for n, m in [(3, 1), (8, 4), (7, 5), (12, 3), (10, 9)]:
             system, objective = random_instance(rng, n, m)
