@@ -10,8 +10,11 @@ threads.
 
 Every product and contraction runs on one cached split table: for every
 grade-(k+l) index and every split of its slots, the ranks of the two parts
-and the sign.  Only the grade-1 tables, all that a solve uses, are built
-directly; every other split table is composed from them.
+and the sign.  Only the grade-1 tables are built directly; every other
+split table is composed from them.  A solve of m rows uses the grade-1
+tables up to grade m only: the (k, 1) ones for k < m to fold the rows into
+an m-form, and the (m-1, 1) one to lay out the contractions of that form by
+each basis vector as the rows of one n x C(n, m-1) array.
 """
 
 from __future__ import annotations
@@ -238,6 +241,21 @@ def _interior(a: np.ndarray, c: np.ndarray, size: int, *table: np.ndarray) -> np
         term = a[k_rank[p]]
         term *= c
         out += sign[p] * np.bincount(l_rank[p], weights=term, minlength=size)
+    return out
+
+
+def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
+    """n x C(n, k-1) array whose row i is contract(e_i, k-form a), for k >= 1.
+
+    Coefficient J of contract(e_i, a) is (-1)^p a_T, where T is J with i
+    inserted at slot p; the (k-1, 1) grade-1 table lists every such (T, p)
+    with T_p and the rank of J, so a is scattered once per slot.
+    """
+    targets, rank, _ = _grade1_table(n, k - 1)
+    out = np.zeros((n, math.comb(n, k - 1)))
+    negated = -a
+    for p in range(k):
+        out[targets[p], rank[p]] = negated if p % 2 else a
     return out
 
 

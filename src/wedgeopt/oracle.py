@@ -2,12 +2,13 @@
 
 Orthonormalizes the constraint rows, removes their span from the objective
 vector and normalizes what is left.  On every nondegenerate instance the
-result must be parallel to the wedge/contraction direction; the test suite
+result must be parallel to the solver's null-space direction; the test suite
 and the CLI --check flag enforce that agreement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -160,13 +161,14 @@ def oracle_direction(
     b = objective.b
     sigma = 1.0 if objective.mode == "max" else -1.0
     if system.m == 0:
-        direction = sigma * b / np.linalg.norm(b)
+        direction = sigma * b / math.hypot(*b.tolist())
         return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
     basis = _full_basis(system)
     perp = perpendicular_component(b, basis)
     raw = float(np.prod(np.square(basis.scales))) * perp
-    perp_norm = float(np.linalg.norm(perp))
-    if perp_norm <= coeff * float(np.linalg.norm(b)):
+    # hypot scales its arguments, so neither norm over- or underflows
+    perp_norm = math.hypot(*perp.tolist())
+    if perp_norm <= coeff * math.hypot(*b.tolist()):
         return Solution(_first_free_axis(basis), raw, 0.0, SolveStatus.DEGENERATE)
     direction = sigma * perp / perp_norm
     return Solution(direction, raw, float(b @ direction), SolveStatus.OPTIMAL)

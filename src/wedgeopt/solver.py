@@ -1,20 +1,22 @@
 """Optimal unit directions for a linear objective on a constraint null space.
 
-The solve pipeline wedges the constraint rows into one m-form A, wedges it
-with the objective 1-form b, and contracts A back out of A ^ b.  The map
-x -> A ^ x is ||A|| times an isometry on the null space of the rows and
-zero on their span, so this interior product, its adjoint applied to
-A ^ b, is the Gram determinant of the rows times the component of b
-orthogonal to the row span.  It is the paper's double dual
-*(A ^ *(b ^ A)) times (-1)^(n+1), but needs only the grade-1 table for
-(m, 1) from `forms` and no complement-grade one, and b dotted with it is
-||A ^ b||^2, never negative.  `constraint_form` folds the rows through the
-same grade-1 kernel when 2m <= n and takes the minors as a batch of
-determinants otherwise.
+The solve pipeline wedges the constraint rows into one m-form A and reads
+the answer off the map b -> contract(A, A ^ b), which is ||A||^2 times the
+projection P of b onto the null space of the rows.  That map is a small
+n x n matrix built from A alone: contract(A, A ^ b) = ||A||^2 b - C C^T b,
+where row i of the n x C(n, m-1) array C is contract(e_i, A), so
+P = I - C C^T / ||A||^2 and no solve forms A ^ b or any other form above
+grade m.  For one row in R^3 this is the paper's triple product
+a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which removes
+the rounding the first pass leaves in the row span; ||A||^2 times it is
+the paper's double dual *(A ^ *(b ^ A)) times (-1)^(n+1).
+`constraint_form` folds the rows through the grade-1 kernel of `forms`
+when 2m <= n and takes the minors as a batch of determinants otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _combos, _product, _table, contract, from_vector, wedge
+from .forms import KForm, _check_dimension, _combos, _interior_rows, _product, _table
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -39,8 +41,8 @@ __all__ = [
     "triple_product_direction",
 ]
 
-# Coefficient c in the classification rule ||raw|| <= c * ||A_form||^2 * ||b||,
-# equivalent to ||b_perp|| <= c * ||b|| and therefore invariant under row and
+# Coefficient c in the classification rule ||b_perp|| <= c * ||b||, which is
+# ||raw|| <= c * ||A_form||^2 * ||b|| and therefore invariant under row and
 # objective rescaling.
 DEGENERACY_TOLERANCE = 1e-12
 # The rows count as dependent when the smallest singular value of the
@@ -105,7 +107,7 @@ class Objective:
             raise DomainError("objective must be a non-empty 1-d real vector")
         if not np.all(np.isfinite(b)):
             raise DomainError("objective entries must be finite")
-        if np.linalg.norm(b) == 0.0:
+        if not b.any():
             raise DomainError("objective vector must have positive norm")
         if self.mode not in ("max", "min"):
             raise DomainError(f"mode must be 'max' or 'min', got {self.mode!r}")
@@ -125,6 +127,8 @@ class Solution:
     def __post_init__(self) -> None:
         direction = np.array(self.direction, dtype=float)
         raw = np.array(self.raw, dtype=float)
+        if direction.ndim != 1 or not abs(_norm(direction) - 1.0) <= 1e-12:
+            raise DomainError("a solution direction must be finite and unit-norm within 1e-12")
         direction.flags.writeable = False
         raw.flags.writeable = False
         object.__setattr__(self, "direction", direction)
@@ -216,9 +220,48 @@ def _full_rank_form(system: ConstraintSystem) -> KForm:
     return constraint_form(system)
 
 
-def _ray(constraint: KForm, objective: Objective) -> np.ndarray:
-    """Unnormalized optimal ray: ||A_form||^2 times the null-space part of b."""
-    return contract(constraint, wedge(constraint, from_vector(objective.b))).coeffs
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, free of overflow and underflow in the squares."""
+    return math.hypot(*x.tolist())
+
+
+def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
+    """P = I - C C^T / ||A||^2, the projector onto the rows' null space, and ||A||^2.
+
+    Row i of C is contract(e_i, A), so C C^T is ||A||^2 times the projector
+    onto the row span.  A is first divided by an exact power of two, 2^e,
+    that brings its largest coefficient into [1/2, 1), so neither C C^T nor
+    ||A||^2 over- or underflows; ||A||^2 is returned as s and 2e with
+    ||A||^2 = s * 2^(2e).
+    """
+    peak = float(np.max(np.abs(constraint.coeffs)))
+    if not 0.0 < peak < np.inf:
+        raise DomainError(
+            f"the constraint form must be finite and nonzero; its largest coefficient is {peak!r}"
+        )
+    exponent = math.frexp(peak)[1]
+    coeffs = np.ldexp(constraint.coeffs, -exponent)
+    rows = _interior_rows(coeffs, constraint.n, constraint.k)
+    norm_sq = float(coeffs @ coeffs)
+    return np.eye(constraint.n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
+
+
+def _ray(constraint: KForm, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The projector P, the null-space part P(P b) of b, and the ray ||A_form||^2 P(P b).
+
+    P is applied twice, as two matrix-vector products: one pass leaves
+    rounding of about eps ||b|| in the row span, the second removes it.
+    """
+    projector, norm_sq, exponent = _null_projector(constraint)
+    perp = projector @ (projector @ b)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        raw = np.ldexp(norm_sq * perp, exponent)
+    if not np.all(np.isfinite(raw)) or (perp.any() and not raw.any()):
+        raise DomainError(
+            f"the unnormalized ray ||A_form||^2 * b_perp is not representable: "
+            f"||A_form||^2 is {norm_sq!r} * 2**{exponent}"
+        )
+    return projector, perp, raw
 
 
 def optimal_direction(
@@ -229,7 +272,7 @@ def optimal_direction(
     """Best feasible unit direction for the objective.
 
     With no constraint rows the normalized objective itself is returned.
-    Otherwise the wedge/contraction ray is normalized; its sign is chosen so
+    Otherwise the null-space part of b is normalized; its sign is chosen so
     the objective is non-negative for mode "max" and non-positive for "min".
     When the ray vanishes (objective inside the row span) the returned
     direction is an arbitrary but deterministic feasible unit vector and
@@ -243,16 +286,16 @@ def optimal_direction(
     b = objective.b
     sigma = 1.0 if objective.mode == "max" else -1.0
     if system.m == 0:
-        direction = sigma * b / np.linalg.norm(b)
+        direction = sigma * b / _norm(b)
         return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
-    constraint = _full_rank_form(system)
-    raw = _ray(constraint, objective)
-    raw_norm = float(np.linalg.norm(raw))
-    if raw_norm <= coeff * constraint.norm() ** 2 * float(np.linalg.norm(b)):
-        return Solution(_first_free_ray(constraint), raw, 0.0, SolveStatus.DEGENERATE)
-    if float(b @ raw) < 0.0:
+    projector, perp, raw = _ray(_full_rank_form(system), b)
+    perp_norm = _norm(perp)
+    if perp_norm <= coeff * _norm(b):
+        return Solution(_first_free_ray(projector), raw, 0.0, SolveStatus.DEGENERATE)
+    direction = perp / perp_norm
+    if float(b @ direction) < 0.0:
         sigma = -sigma
-    direction = sigma * raw / raw_norm
+    direction *= sigma
     return Solution(direction, raw, float(b @ direction), SolveStatus.OPTIMAL)
 
 
@@ -268,7 +311,7 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
     if system.m == 0:
         raise DomainError("objective_value needs at least one constraint row")
     _check_pair(system, objective)
-    raw = _ray(_full_rank_form(system), objective)
+    raw = _ray(_full_rank_form(system), objective.b)[2]
     value = float(t_star) * float(objective.b @ raw)
     return value if objective.mode == "max" else -value
 
@@ -286,19 +329,24 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     return np.cross(a, np.cross(b, a))
 
 
-def _first_free_ray(constraint: KForm) -> np.ndarray:
-    """Normalized ray for b = e_j at the first axis j with a usable null-space part.
+def _first_free_ray(projector: np.ndarray) -> np.ndarray:
+    """Normalized ray for b = e_j at the first axis j with ||P P e_j|| > 1e-4.
 
-    The ray for e_j is ||A_form||^2 times the null-space projection of e_j,
-    so the threshold below is ||P e_j|| > 1e-4.
+    Column j of P P is P applied twice to e_j, so one pass over the columns
+    finds j.  P is a symmetric projector with trace n - m >= 1, so its
+    squared column norms sum to n - m and some column has norm at least
+    1/sqrt(n), far above 1e-4 for n <= 64; the error below needs a
+    projector that rounding has ruined.
     """
-    floor = 1e-4 * constraint.norm() ** 2
-    for axis in np.eye(constraint.n):
-        ray = _ray(constraint, Objective(axis))
-        length = float(np.linalg.norm(ray))
-        if length > floor:
-            return ray / length
-    raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
+    twice = projector @ projector
+    lengths = np.linalg.norm(twice, axis=0)
+    free = np.flatnonzero(lengths > 1e-4)
+    if not free.size:
+        largest = float(lengths.max())
+        raise DomainError(
+            f"no coordinate axis has a null-space part above 1e-4; the largest is {largest!r}"
+        )
+    return twice[:, free[0]] / lengths[free[0]]
 
 
 def degenerate_direction(system: ConstraintSystem) -> np.ndarray:
@@ -312,4 +360,4 @@ def degenerate_direction(system: ConstraintSystem) -> np.ndarray:
         axis = np.zeros(system.n)
         axis[0] = 1.0
         return axis
-    return _first_free_ray(_full_rank_form(system))
+    return _first_free_ray(_null_projector(_full_rank_form(system))[0])

@@ -133,3 +133,11 @@ def null_space_axis(rows):
         if length > 1e-4:
             return projected / length
     raise AssertionError("no coordinate axis has a null-space part")
+
+
+def null_space_direction(rows, b):
+    """b projected onto the SVD null space of the rows, normalized (the maximizer)."""
+    rows = np.asarray(rows, dtype=float)
+    null = np.linalg.svd(rows)[2][rows.shape[0]:]
+    projected = null.T @ (null @ np.asarray(b, dtype=float))
+    return projected / np.linalg.norm(projected)

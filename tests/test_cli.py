@@ -196,6 +196,16 @@ class TestMainExitCodes:
         assert payload["objective"] == pytest.approx(5.0)
         assert payload["direction"] == pytest.approx([0.6, 0.8])
 
+    @pytest.mark.parametrize("k", [-100, 100])
+    def test_rows_scaled_by_a_power_of_two_pass_check(self, tmp_path, capsys, k):
+        rng = np.random.default_rng(0)
+        rows, b = np.ldexp(rng.standard_normal((3, 6)), k), rng.standard_normal(6)
+        doc = {"field": "real", "n": 6, "m": 3, "A": rows.tolist(), "B": b.tolist()}
+        assert main(["--input", write_problem(tmp_path, doc), "--check"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == payload["oracle_status"] == "optimal"
+        assert np.linalg.norm(payload["direction"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_validation_failure(self, tmp_path, capsys):
         doc = dict(SIMPLE_3D, m=3, A=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert main(["--input", write_problem(tmp_path, doc)]) == 1

@@ -288,6 +288,17 @@ class TestSplitTable:
         lhs = inner(wedge(v, x), c)
         assert lhs == pytest.approx(inner(x, out), rel=1e-10)
 
+    def test_interior_rows_are_vector_contractions(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                form = KForm(n, k, rng.standard_normal(math.comb(n, k)))
+                rows = forms._interior_rows(form.coeffs, n, k)
+                assert rows.shape == (n, math.comb(n, k - 1))
+                for i in range(n):
+                    expected = contract(basis_form(n, [i + 1]), form).coeffs
+                    assert np.array_equal(rows[i], expected)
+
     def test_combos_match_itertools(self):
         for n in range(1, 13):
             for k in range(0, n + 1):

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_instance, relative_residual, span_combination
-from reference import brute_optimal_ray, null_space_axis
+from helpers import random_instance, random_system, relative_residual, span_combination
+from reference import brute_optimal_ray, null_space_axis, null_space_direction
 import wedgeopt.forms
 import wedgeopt.solver
 from wedgeopt.errors import DomainError, RankDeficientError
@@ -16,6 +16,7 @@ from wedgeopt.oracle import oracle_direction, orthonormalize, perpendicular_comp
 from wedgeopt.solver import (
     ConstraintSystem,
     Objective,
+    Solution,
     SolveStatus,
     constraint_form,
     degenerate_direction,
@@ -51,6 +52,19 @@ class TestObjective:
     def test_rejects_bad_mode(self):
         with pytest.raises(DomainError):
             Objective([1.0, 0.0], "maximize")
+
+
+class TestSolution:
+    @pytest.mark.parametrize(
+        "direction", [[1.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1.0 + 2e-12, 0.0]]
+    )
+    def test_rejects_non_unit_direction(self, direction):
+        with pytest.raises(DomainError):
+            Solution(direction, [1.0, 0.0], 1.0, SolveStatus.OPTIMAL)
+
+    def test_accepts_unit_direction(self):
+        solution = Solution([0.6, -0.8], [3.0, -4.0], 5.0, SolveStatus.OPTIMAL)
+        assert solution.direction.tolist() == [0.6, -0.8]
 
 
 class TestConstraintForm:
@@ -285,6 +299,53 @@ class TestOptimalDirection:
             assert objective_value(system, objective, 1.0) > 0.0
             assert np.linalg.norm(degenerate_direction(system)) == pytest.approx(1.0)
 
+    def test_objective_accurate_when_b_is_nearly_in_the_row_span(self):
+        # A single pass of the projector leaves rounding of about eps ||b|| in the
+        # row span, which b then reads at full weight: a relative objective error
+        # near 1e-3 here.  The second pass brings it down to about 1e-9.
+        rng = np.random.default_rng(49)
+        for n in range(2, 11):
+            for m in range(1, n):
+                q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                rows, null = q[:, :m].T, q[:, m:]
+                expected = null @ rng.standard_normal(n - m)
+                expected /= np.linalg.norm(expected)
+                b = rows.T @ rng.standard_normal(m) + 1e-6 * expected
+                solution = optimal_direction(ConstraintSystem(rows), Objective(b))
+                assert solution.status is SolveStatus.OPTIMAL
+                assert solution.objective == pytest.approx(1e-6, rel=1e-8)
+
+    def test_solve_uses_tables_only_up_to_grade_m(self, monkeypatch):
+        # The ray reads the (m-1, 1) table that the fold already built: no solve
+        # builds the (m, 1) table or any index array above grade m, and the
+        # solver forms no product of A with b.
+        grade_one_table, combos = wedgeopt.forms._grade1_table, wedgeopt.forms._combos
+        assert not hasattr(wedgeopt.solver, "wedge")
+        assert not hasattr(wedgeopt.solver, "contract")
+        rng = np.random.default_rng(47)
+        for n, m in [(3, 1), (8, 4), (12, 3), (7, 5), (10, 9)]:
+
+            def table_below_m(n_, k):
+                if k >= m:
+                    raise AssertionError(f"a solve with m={m} built the ({k}, 1) table")
+                return grade_one_table(n_, k)
+
+            def combos_up_to_m(n_, k):
+                if k > m:
+                    raise AssertionError(f"a solve with m={m} enumerated grade {k}")
+                return combos(n_, k)
+
+            system, objective = random_instance(rng, n, m)
+            spanned = Objective(span_combination(rng, system.rows))
+            with monkeypatch.context() as patch:
+                patch.setattr(wedgeopt.forms, "_grade1_table", table_below_m)
+                patch.setattr(wedgeopt.forms, "_combos", combos_up_to_m)
+                patch.setattr(wedgeopt.solver, "_combos", combos_up_to_m)
+                assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
+                assert optimal_direction(system, spanned).status is SolveStatus.DEGENERATE
+                assert objective_value(system, objective, 1.0) > 0.0
+                assert np.linalg.norm(degenerate_direction(system)) == pytest.approx(1.0)
+
     def test_rank_rule_ignores_per_row_scale(self):
         # Gram-Schmidt against the running row scale calls these rows dependent;
         # scaled to unit norm they are 45 degrees apart.
@@ -313,6 +374,84 @@ class TestOptimalDirection:
         assert optimal_direction(system, objective, 1e-3).status is SolveStatus.DEGENERATE
 
 
+class TestNullProjector:
+    def test_is_the_null_space_projector(self):
+        rng = np.random.default_rng(48)
+        for n in range(2, 10):
+            for m in range(1, n):
+                system = random_system(rng, n, m)
+                form = constraint_form(system)
+                projector, norm_sq, exponent = wedgeopt.solver._null_projector(form)
+                unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
+                assert np.max(np.abs(projector @ unit_rows.T)) <= 1e-12
+                assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
+                assert np.trace(projector) == pytest.approx(n - m, abs=1e-12)
+                assert np.ldexp(norm_sq, exponent) == pytest.approx(form.norm() ** 2, rel=1e-14)
+
+    def test_fallback_without_a_free_axis_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="largest is 0.0"):
+            wedgeopt.solver._first_free_ray(np.zeros((3, 3)))
+
+    def test_zero_constraint_form_is_a_domain_error(self):
+        # Three rows of size 2^-400 pass validation, but their minors underflow.
+        system = ConstraintSystem(np.ldexp(np.eye(3, 4), -400))
+        with pytest.raises(DomainError, match="nonzero"):
+            optimal_direction(system, Objective([1.0, 1.0, 1.0, 1.0]))
+
+
+class TestPowerOfTwoScaling:
+    """A random 3x6 system from default_rng(0) with its rows or objective
+    scaled by 2^k: a solve gives the SVD reference direction or a clean
+    DomainError or RankDeficientError, never a non-finite or non-unit one."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((3, 6))
+        b = rng.standard_normal(6)
+        return rows, b, null_space_direction(rows, b)
+
+    @pytest.mark.parametrize("k", [-100, 100])
+    def test_rows_within_range_solve(self, k):
+        rows, b, expected = self.instance()
+        solution = optimal_direction(ConstraintSystem(np.ldexp(rows, k)), Objective(b))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert np.max(np.abs(solution.direction - expected)) <= 1e-12
+        assert np.all(np.isfinite(solution.raw))
+        assert solution.objective == pytest.approx(float(b @ expected), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 200, 300, 600])
+    def test_rows_out_of_range_raise_cleanly(self, k):
+        # Out of range once ||A_form||^2 or a row norm over- or underflows.  At
+        # 2^600 numpy warns of the row norms' overflow before the rank test
+        # raises; only the outcome is under test here.
+        rows, b, _ = self.instance()
+        with np.errstate(over="ignore"), pytest.raises((DomainError, RankDeficientError)):
+            optimal_direction(ConstraintSystem(np.ldexp(rows, k)), Objective(b))
+
+    @pytest.mark.parametrize("rows_k, b_k", [(190, -300), (-190, 300)])
+    def test_ray_in_range_while_form_norm_is_not(self, rows_k, b_k):
+        # ||A_form||^2 is about 2^(6 rows_k), outside the double range, but the
+        # ray ||A_form||^2 * b_perp is not; the projector is built from A_form
+        # divided by a power of two, so neither the Gram product nor the norm
+        # sees the out-of-range scale.
+        rows, b, expected = self.instance()
+        system = ConstraintSystem(np.ldexp(rows, rows_k))
+        solution = optimal_direction(system, Objective(np.ldexp(b, b_k)))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert np.max(np.abs(solution.direction - expected)) <= 1e-12
+        assert np.all(np.isfinite(solution.raw)) and np.any(solution.raw)
+
+    @pytest.mark.parametrize("k", [-1000, 600, 1000])
+    @pytest.mark.parametrize("mode, sign", [("max", 1.0), ("min", -1.0)])
+    def test_objective_scales_solve(self, k, mode, sign):
+        rows, b, expected = self.instance()
+        solution = optimal_direction(ConstraintSystem(rows), Objective(np.ldexp(b, k), mode))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert np.max(np.abs(solution.direction - sign * expected)) <= 1e-12
+        assert np.all(np.isfinite(solution.raw))
+
+
 class TestSolveMemory:
     """tracemalloc peaks of cold solves: the ray must not build complement-grade
     tables, and the fold must not run where it passes through grade n/2."""
@@ -332,6 +471,11 @@ class TestSolveMemory:
 
     def test_wide_shape_peak(self):
         assert self.cold_peak_mb(32, 4) < 250.0
+
+    def test_wide_shape_builds_no_grade_above_m(self):
+        # The (3, 1) table of the fold serves the ray; C(32, 5) = 201,376 targets of
+        # the (4, 1) table are never enumerated.
+        assert self.cold_peak_mb(32, 4) < 10.0
 
     def test_half_shape_peak(self):
         assert self.cold_peak_mb(18, 9) < 70.0
