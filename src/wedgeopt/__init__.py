@@ -16,7 +16,6 @@ from .forms import (
     from_vector,
     hodge,
     inner,
-    max_dimension,
     rank_multi_index,
     unrank_multi_index,
     wedge,
@@ -68,7 +67,6 @@ __all__ = [
     "hodge",
     "independent_rows",
     "inner",
-    "max_dimension",
     "objective_value",
     "optimal_direction",
     "oracle_direction",

@@ -20,12 +20,12 @@ import numpy as np
 
 from .complexify import ComplexProblem, _fold, realify
 from .errors import DomainError, ParseError, RankDeficientError, ValidationError
-from .forms import max_dimension
 from .oracle import oracle_direction
 from .solver import (
     ConstraintSystem,
     Objective,
     SolveStatus,
+    _check_shape,
     independent_rows,
     optimal_direction,
     triple_product_direction,
@@ -186,17 +186,7 @@ def parse_problem(path: str) -> ProblemSpec:
     if tolerance is not None:
         tolerance = _tolerance(_real_scalar(tolerance, "tolerance"), "tolerance")
 
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    if n > max_dimension():
-        raise ValidationError(
-            f"n={n} exceeds the supported cap {max_dimension()} (WEDGEOPT_MAX_DIMENSION)"
-        )
-    if field == "complex" and 2 * n > max_dimension():
-        raise ValidationError(
-            f"complex n={n} is solved as a real system of dimension 2n={2 * n}, "
-            f"which exceeds the supported cap {max_dimension()} (WEDGEOPT_MAX_DIMENSION)"
-        )
+    # m >= 0 and m < n imply n >= 1
     if m < 0:
         raise ValidationError(f"m must be non-negative, got {m}")
     if m >= n:
@@ -208,10 +198,8 @@ def parse_problem(path: str) -> ProblemSpec:
     if len(rows_doc) != m:
         raise ValidationError(f"A: expected {m} rows, got {len(rows_doc)}")
     is_complex = field == "complex"
-    dtype = complex if is_complex else float
-    a = np.zeros((m, n), dtype=dtype)
-    for i, row in enumerate(rows_doc):
-        a[i] = _vector(row, n, f"A[{i}]", is_complex)
+    rows = [_vector(row, n, f"A[{i}]", is_complex) for i, row in enumerate(rows_doc)]
+    a = np.array(rows, dtype=complex if is_complex else float).reshape(m, n)
     if "B" not in doc:
         raise ParseError("missing required key 'B'")
     b = _vector(doc["B"], n, "B", is_complex)
@@ -320,14 +308,13 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
     """
     if not isinstance(n, int) or not isinstance(m, int):
         raise ValidationError("n and m must be integers")
-    if n < 1 or n > max_dimension():
-        raise ValidationError(f"n must lie in [1, {max_dimension()}], got {n}")
     if not 0 <= m < n:
         raise ValidationError(f"self-test requires 0 <= m < n, got m={m}, n={n}")
     if trials < 0:
         raise ValidationError(f"trials must be non-negative, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    _check_shape(n, m)
 
     rng = np.random.default_rng(seed)
     max_residual = 0.0

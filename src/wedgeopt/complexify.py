@@ -40,8 +40,9 @@ class ComplexProblem:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "b", b)
         # The realified system and objective carry every other rule: the
-        # (doubled) dimension cap, m < n, finite nonzero rows, a finite
-        # nonzero objective and the mode.
+        # dimension limit, applied to 2n, m < n, finite nonzero rows, a
+        # finite nonzero objective and the mode.  The work budget is checked
+        # by the solve, on the real 2m x 2n shape.
         realify(self)
 
     @property

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _combos, _interior_rows, _product, _table
+from .forms import KForm, _check_dimension, _check_work, _combos, _interior_rows, _product, _table
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -75,7 +75,7 @@ class ConstraintSystem:
             raise DomainError(f"the row count must satisfy m < n, got m={m}, n={n}")
         if not np.all(np.isfinite(rows)):
             raise DomainError("constraint rows must have finite entries")
-        if m and np.any(np.linalg.norm(rows, axis=1) == 0.0):
+        if not rows.any(axis=1).all():
             raise DomainError("constraint rows must be nonzero")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -153,6 +153,27 @@ def _degeneracy_coefficient(tolerance: float | None) -> float:
     return coeff
 
 
+def _solve_bytes(n: int, m: int) -> int:
+    """Upper estimate of the peak bytes of a cold solve of m >= 1 rows in R^n.
+
+    Every table built is kept: index lists and grade-1 ranks, 16 k C(n, k)
+    bytes per grade k up to grade m (fold) or n - m (determinants, which
+    also gather every m x m minor).  The ray adds the n x C(n, m-1)
+    contractions, a few C(n, m)- and n x n-sized arrays, and 64 KiB.
+    """
+    top = math.comb(n, m)
+    tables = 16 * sum(k * math.comb(n, k) for k in range(1, min(m, n - m) + 1))
+    minors = (8 * m * m + 32 * m + n) * top if 2 * m > n else 0
+    return tables + minors + 8 * n * math.comb(n, m - 1) + 64 * top + 32 * n * n + 2**16
+
+
+def _check_shape(n: int, m: int) -> None:
+    """Refuse a solve of m rows in R^n past the dimension limit or the work budget."""
+    _check_dimension(n)
+    if m:
+        _check_work(_solve_bytes(n, m), f"a solve with n={n}, m={m}")
+
+
 def constraint_form(system: ConstraintSystem) -> KForm:
     """Wedge of all constraint rows, a_1 ^ ... ^ a_m.
 
@@ -162,21 +183,25 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     kernel that `wedge` uses: no intermediate form is larger than the
     result, with C(n, m) coefficients, and the tables hold about
     2 sum_{k<=m} C(n, k) k entries, fewer than the C(n, m) m^2 of a gather
-    of every minor.  When 2m > n the
-    fold would pass through grade n/2, with C(n, n/2) coefficients against
-    C(n, m) minors, so the minors are evaluated directly as a batch of
-    determinants.  The choice depends only on the shape.
+    of every minor.  When 2m > n the fold would pass through grade n/2,
+    with C(n, n/2) coefficients against C(n, m) minors, so the minors are
+    evaluated directly as a batch of determinants.  The choice depends only
+    on the shape.  A shape over the work budget is refused before anything
+    is allocated, and minors that overflow are refused as non-finite.
     """
     m, n = system.m, system.n
     if m == 0:
         raise DomainError("an unconstrained system has no constraint form")
-    if 2 * m <= n:
-        coeffs = system.rows[0]
-        for k, row in enumerate(system.rows[1:], 1):
-            coeffs = _product(coeffs, row, *_table(n, k, 1))
-        return KForm(n, m, coeffs)
-    submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
-    return KForm(n, m, np.linalg.det(submatrices))
+    _check_shape(n, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 2 * m <= n:
+            coeffs = system.rows[0]
+            for k, row in enumerate(system.rows[1:], 1):
+                coeffs = _product(coeffs, row, *_table(n, k, 1))
+        else:
+            submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
+            coeffs = np.linalg.det(submatrices)
+    return KForm(n, m, coeffs)
 
 
 def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int]:
@@ -191,6 +216,13 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise DomainError("expected a 2-d row matrix")
+    # Each row is first divided by the exact power of two, 2^e, that brings
+    # its largest real or imaginary part into [1/2, 1), so its norm neither
+    # over- nor underflows; 2^-e is applied in two halves, as it may not be
+    # a double.  |z| itself can overflow, so it is not the measure.
+    largest = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1, initial=0.0)
+    e = np.frexp(largest)[1][:, None]
+    rows = rows * np.ldexp(1.0, -(e // 2)) * np.ldexp(1.0, e // 2 - e)
     norms = np.linalg.norm(rows, axis=1)
 
     def passes(indices: list[int]) -> bool:
@@ -312,7 +344,10 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
         raise DomainError("objective_value needs at least one constraint row")
     _check_pair(system, objective)
     raw = _ray(_full_rank_form(system), objective.b)[2]
-    value = float(t_star) * float(objective.b @ raw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(t_star) * float(objective.b @ raw)
+    if not np.isfinite(value):
+        raise DomainError(f"the objective value t_star * (b . raw) is not representable: {value!r}")
     return value if objective.mode == "max" else -value
 
 

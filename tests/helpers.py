@@ -1,4 +1,8 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and measurements for the test suite."""
+
+import contextlib
+import time
+import tracemalloc
 
 import numpy as np
 
@@ -38,3 +42,18 @@ def relative_residual(rows, direction):
         return 0.0
     scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
     return float(np.max(np.abs(rows @ direction) / scale))
+
+
+@contextlib.contextmanager
+def allocates_nothing():
+    """The block must peak under 1 MB (tracemalloc) and finish within 50 ms."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        yield
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak} bytes"
+    assert elapsed < 0.05, f"{elapsed} s"

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import allocates_nothing
 from wedgeopt.cli import evaluate_check, main, parse_problem, run_solve, self_test
 from wedgeopt.complexify import ComplexProblem, solve_complex
 from wedgeopt.errors import DomainError, ParseError, ValidationError
@@ -267,19 +268,33 @@ class TestMainExitCodes:
         # the report itself is still emitted for inspection
         assert json.loads(captured.out)["status"] == "optimal"
 
-    def test_dimension_cap_env(self, tmp_path, capsys, monkeypatch):
+    def test_dimension_environment_is_ignored(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WEDGEOPT_MAX_DIMENSION", "2")
-        assert main(["--input", write_problem(tmp_path, SIMPLE_3D)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ValidationError"
+        assert main(["--input", write_problem(tmp_path, SIMPLE_3D)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "optimal"
 
     def test_complex_cap_counts_realified_dimension(self, tmp_path, capsys):
-        n = 20  # within the cap of 32, but solved as a 40-dimensional real system
-        doc = {"field": "complex", "n": n, "m": 1, "A": [[[1, 0]] * n], "B": [[0, 1]] * n}
-        assert main(["--input", write_problem(tmp_path, doc)]) == 1
+        # Complex 16x8 is solved as real 32x16, over the work budget: refused
+        # before the solve allocates anything.
+        rng = np.random.default_rng(16)
+        doc = {
+            "field": "complex",
+            "n": 16,
+            "m": 8,
+            "A": rng.standard_normal((8, 16, 2)).tolist(),
+            "B": rng.standard_normal((16, 2)).tolist(),
+        }
+        path = write_problem(tmp_path, doc)
+        with allocates_nothing():
+            assert main(["--input", path, "--check"]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ValidationError"
-        assert "n=20" in err["message"] and "2n=40" in err["message"]
+        assert err["type"] == "DomainError"
+        assert "n=32, m=16" in err["message"] and "budget" in err["message"]
+        # 2n = 66 is past the hard dimension limit of 64; 2n = 40 is not
+        for n, code in [(33, 1), (20, 0)]:
+            doc = {"field": "complex", "n": n, "m": 1, "A": [[[1, 0]] * n], "B": [[0, 1]] * n}
+            assert main(["--input", write_problem(tmp_path, doc)]) == code
+            assert bool(capsys.readouterr().err) == bool(code)
 
     def test_complex_end_to_end(self, tmp_path, capsys):
         doc = {
@@ -385,6 +400,15 @@ class TestSelfTest:
     def test_bad_arguments_exit_1(self, capsys):
         assert main(["--self-test", "3", "3", "5", "0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n, m", [(65, 1), (32, 16)])
+    def test_oversized_shape_refused_before_first_trial(self, n, m, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_trials)
+        with pytest.raises(DomainError):
+            self_test(n, m, 5, 0)
 
     def test_negative_seed_exit_1(self, capsys):
         with pytest.raises(ValidationError, match="seed"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import allocates_nothing
 from reference import brute_hodge, brute_wedge, shuffle_products
 from wedgeopt import forms
 from wedgeopt.errors import DomainError
@@ -128,15 +129,21 @@ class TestKForm:
             dense = dense_tensor(n, k, coeffs)
             assert np.array_equal(sorted_coeffs(dense, n, k), coeffs)
 
-    def test_dimension_cap_override(self, monkeypatch):
-        monkeypatch.setenv("WEDGEOPT_MAX_DIMENSION", "4")
-        with pytest.raises(DomainError, match="cap"):
-            from_vector(np.ones(5))
-        monkeypatch.setenv("WEDGEOPT_MAX_DIMENSION", "40")
-        assert from_vector(np.ones(35)).n == 35
-        monkeypatch.setenv("WEDGEOPT_MAX_DIMENSION", "not-a-number")
-        with pytest.raises(DomainError):
-            from_vector(np.ones(3))
+    def test_hard_dimension_limit(self):
+        assert from_vector(np.ones(64)).n == 64
+        with pytest.raises(DomainError, match=r"\[1, 64\], got 65"):
+            from_vector(np.ones(65))
+
+    def test_over_budget_forms_refused_before_allocating(self):
+        # The (32, 8, 8) table would hold C(32, 16) C(16, 8), about 7.7e12, entries
+        # per array; the zero form, C(64, 32), about 1.8e18, coefficients.
+        octet = basis_form(32, range(1, 9))
+        with allocates_nothing(), pytest.raises(DomainError, match="budget"):
+            wedge(octet, octet)
+        with allocates_nothing(), pytest.raises(DomainError, match="budget"):
+            zero_form(64, 32)
+        with allocates_nothing(), pytest.raises(DomainError, match="budget"):
+            basis_form(64, range(1, 33))
 
 
 class TestWedge:

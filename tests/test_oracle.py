@@ -230,6 +230,12 @@ class TestIndependentRows:
         # a running-norm threshold would drop the tiny second row
         assert independent_rows([[1.0, 0, 0], [1e-12, 1e-12, 0]]) == [0, 1]
 
+    @pytest.mark.parametrize("scale", [2.0**-1070, 2.0**1000, 1.5e308 * (1 + 1j)])
+    def test_rows_at_the_ends_of_the_float_range(self, scale):
+        # |1.5e308 (1 + i)| overflows, although both of its parts are finite
+        rows = np.array([[scale, 1e-300, 0.0], [0.0, 1.0, 1.0]])
+        assert independent_rows(rows) == [0, 1]
+
     def test_rejects_non_matrix(self):
         with pytest.raises(DomainError):
             independent_rows([1.0, 0.0])

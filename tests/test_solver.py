@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_instance, random_system, relative_residual, span_combination
+from helpers import (
+    allocates_nothing,
+    random_instance,
+    random_system,
+    relative_residual,
+    span_combination,
+)
 from reference import brute_optimal_ray, null_space_axis, null_space_direction
 import wedgeopt.forms
 import wedgeopt.solver
@@ -20,6 +26,7 @@ from wedgeopt.solver import (
     SolveStatus,
     constraint_form,
     degenerate_direction,
+    independent_rows,
     objective_value,
     optimal_direction,
     triple_product_direction,
@@ -420,14 +427,21 @@ class TestPowerOfTwoScaling:
         assert np.all(np.isfinite(solution.raw))
         assert solution.objective == pytest.approx(float(b @ expected), rel=1e-12)
 
-    @pytest.mark.parametrize("k", [-1000, -600, -300, 200, 300, 600])
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 200, 300, 600, 1000])
     def test_rows_out_of_range_raise_cleanly(self, k):
-        # Out of range once ||A_form||^2 or a row norm over- or underflows.  At
-        # 2^600 numpy warns of the row norms' overflow before the rank test
-        # raises; only the outcome is under test here.
+        # Out of range once the minors or ||A_form||^2 over- or underflow; the
+        # rows themselves are valid and independent at every scale, and no
+        # RuntimeWarning escapes (pytest turns one into an error).
         rows, b, _ = self.instance()
-        with np.errstate(over="ignore"), pytest.raises((DomainError, RankDeficientError)):
-            optimal_direction(ConstraintSystem(np.ldexp(rows, k)), Objective(b))
+        system = ConstraintSystem(np.ldexp(rows, k))
+        assert independent_rows(system.rows) == [0, 1, 2]
+        with pytest.raises(DomainError):
+            optimal_direction(system, Objective(b))
+
+    def test_objective_value_out_of_range_raises(self):
+        rows, b, _ = self.instance()
+        with pytest.raises(DomainError, match="objective value"):
+            objective_value(ConstraintSystem(rows), Objective(np.ldexp(b, 600)), 1.0)
 
     @pytest.mark.parametrize("rows_k, b_k", [(190, -300), (-190, 300)])
     def test_ray_in_range_while_form_norm_is_not(self, rows_k, b_k):
@@ -483,6 +497,45 @@ class TestSolveMemory:
     @pytest.mark.parametrize("n, m", [(24, 22), (32, 31)])
     def test_tall_shape_peak(self, n, m):
         assert self.cold_peak_mb(n, m) < 5.0
+
+    @pytest.mark.parametrize(
+        "n, m", [(16, 8), (18, 9), (20, 10), (32, 4), (32, 5), (10, 9), (24, 22)]
+    )
+    def test_estimate_covers_cold_peak(self, n, m):
+        # fold shapes up to 2m = n, where the estimate is tightest, and det shapes
+        assert self.cold_peak_mb(n, m) * 1e6 <= wedgeopt.solver._solve_bytes(n, m)
+
+
+class TestWorkBudget:
+    """Shapes are refused by their estimated work, before anything is allocated."""
+
+    @pytest.mark.parametrize("n, m", [(32, 16), (26, 13), (32, 9)])
+    @pytest.mark.parametrize("solve", ["optimal_direction", "constraint_form"])
+    def test_over_budget_refused_before_allocating(self, n, m, solve):
+        rng = np.random.default_rng(n + m)
+        system, objective = random_instance(rng, n, m)
+        call = {
+            "optimal_direction": lambda: optimal_direction(system, objective),
+            "constraint_form": lambda: constraint_form(system),
+        }[solve]
+        with allocates_nothing(), pytest.raises(DomainError) as info:
+            call()
+        message = str(info.value)
+        assert f"n={n}, m={m}" in message and "GiB" in message and "budget of 4 GiB" in message
+
+    @pytest.mark.parametrize("n, m", [(32, 8), (24, 12), (32, 7)])
+    def test_largest_solved_shapes_accepted(self, n, m):
+        # Not solved here: they complete on an 8 GB host, at tracemalloc peaks of
+        # about 2.8, 2.1 and 0.8 GB.
+        wedgeopt.solver._check_shape(n, m)
+
+    def test_wide_shape_solves_without_environment(self, monkeypatch):
+        monkeypatch.delenv("WEDGEOPT_MAX_DIMENSION", raising=False)
+        rng = np.random.default_rng(40)
+        system, objective = random_instance(rng, 40, 2)
+        solution = optimal_direction(system, objective)
+        expected = null_space_direction(system.rows, objective.b)
+        assert np.max(np.abs(solution.direction - expected)) <= 1e-12
 
 
 class TestObjectiveValue:
