@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .solver import (
     Objective,
     SolveStatus,
     _check_shape,
+    _power_of_two_scaled,
     independent_rows,
     optimal_direction,
     triple_product_direction,
@@ -65,20 +66,20 @@ class ProblemSpec:
     tolerance: float | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolveReport:
-    """Solver output plus optional oracle cross-check results."""
+    """Solver output plus optional oracle cross-check results, fields in output order."""
 
     field: str
     n: int
     m: int
     mode: str
+    objective_part: str | None = None
     status: str
     objective: float
     direction: list
     raw: list
     residual_max: float
-    objective_part: str | None = None
     oracle_status: str | None = None
     oracle_direction: list | None = None
     oracle_objective: float | None = None
@@ -87,27 +88,8 @@ class SolveReport:
     timings: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "field": self.field,
-            "n": self.n,
-            "m": self.m,
-            "mode": self.mode,
-        }
-        if self.objective_part is not None:
-            out["objective_part"] = self.objective_part
-        out["status"] = self.status
-        out["objective"] = self.objective
-        out["direction"] = self.direction
-        out["raw"] = self.raw
-        out["residual_max"] = self.residual_max
-        for key in ("oracle_status", "oracle_direction", "oracle_objective", "cosine_agreement"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.dropped_rows is not None:
-            out["dropped_rows"] = self.dropped_rows
-        out["timings"] = self.timings
-        return out
+        """Every field that is set, in declaration order."""
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -122,7 +104,10 @@ def _require_int(doc: dict, key: str) -> int:
 def _real_scalar(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the double range
+        raise ValidationError(f"{where}: integers must lie inside the double range") from None
 
 
 def _tolerance(value: float, where: str) -> float:
@@ -163,6 +148,8 @@ def parse_problem(path: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("the top level of a problem file must be a JSON object")
     unknown = sorted(set(doc) - _ALLOWED_KEYS)
@@ -214,10 +201,13 @@ def _encode_vector(vec: np.ndarray) -> list:
 
 
 def _relative_residual(rows: np.ndarray, direction: np.ndarray) -> float:
-    if rows.shape[0] == 0:
-        return 0.0
-    scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
-    return float(np.max(np.abs(rows @ direction) / scale))
+    """Largest |row . direction| / max(1, ||row||), as min(x / ||row 2^-e||, x 2^e)
+    with x = |row 2^-e . direction|, so that no norm overflows."""
+    scaled, e = _power_of_two_scaled(rows)
+    dots = np.abs(scaled @ direction)
+    with np.errstate(over="ignore"):  # x * 2^e may be past the double range
+        residuals = np.minimum(dots / np.linalg.norm(scaled, axis=1), np.ldexp(dots, e))
+    return float(np.max(residuals, initial=0.0))
 
 
 def run_solve(spec: ProblemSpec, check_oracle: bool = False, reduce_rows: bool = False) -> SolveReport:
@@ -268,16 +258,16 @@ def run_solve(spec: ProblemSpec, check_oracle: bool = False, reduce_rows: bool =
     return report
 
 
-def _check_failures(
-    status: str, oracle_status: str, cosine: float | None, objective: float, oracle_objective: float
-) -> list[str]:
+def _check_failures(report: SolveReport) -> list[str]:
     """The --check gates between a solve and its oracle: one reason per failed gate."""
-    if status != oracle_status:
-        return [f"status mismatch: solver={status}, oracle={oracle_status}"]
+    if report.status != report.oracle_status:
+        return [f"status mismatch: solver={report.status}, oracle={report.oracle_status}"]
     reasons = []
     # written so that a NaN fails each gate
+    cosine = report.cosine_agreement
     if cosine is not None and not cosine >= 1.0 - CHECK_COSINE_TOLERANCE:
         reasons.append(f"direction agreement too low: cosine={cosine!r}")
+    objective, oracle_objective = report.objective, report.oracle_objective
     scale = max(abs(objective), abs(oracle_objective))
     if not abs(objective - oracle_objective) <= CHECK_OBJECTIVE_TOLERANCE * scale:
         reasons.append(f"objective mismatch: solver={objective!r}, oracle={oracle_objective!r}")
@@ -286,15 +276,7 @@ def _check_failures(
 
 def evaluate_check(report: SolveReport) -> tuple[bool, str | None]:
     """Decide whether an oracle cross-check passed; returns (ok, reason)."""
-    if report.oracle_status is None:
-        return True, None
-    reasons = _check_failures(
-        report.status,
-        report.oracle_status,
-        report.cosine_agreement,
-        report.objective,
-        report.oracle_objective,
-    )
+    reasons = [] if report.oracle_status is None else _check_failures(report)
     return not reasons, reasons[0] if reasons else None
 
 
@@ -318,9 +300,9 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
 
     rng = np.random.default_rng(seed)
     max_residual = 0.0
-    min_cosine = None
     max_gap = 0.0
-    min_triple_cosine = None
+    cosines: list[float] = []
+    triple_cosines: list[float] = []
     status_counts: dict[str, int] = {}
     failures: list[dict] = []
 
@@ -329,35 +311,23 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
         b = rng.standard_normal(n)
         while np.linalg.norm(b) < 1e-8:
             b = rng.standard_normal(n)
-        system = ConstraintSystem(rows)
-        objective = Objective(b, "max")
-        solution = optimal_direction(system, objective)
-        oracle = oracle_direction(system, objective)
-        status_counts[solution.status.value] = status_counts.get(solution.status.value, 0) + 1
+        solved = run_solve(ProblemSpec("real", n, m, rows, b), check_oracle=True)
+        status_counts[solved.status] = status_counts.get(solved.status, 0) + 1
 
-        residual = _relative_residual(system.rows, solution.direction)
-        max_residual = max(max_residual, residual)
-        if residual > SELF_TEST_RESIDUAL:
-            failures.append({"trial": trial, "reason": f"residual {residual!r}"})
-        cosine = None
-        if solution.status == oracle.status == SolveStatus.OPTIMAL:
-            cosine = float(solution.direction @ oracle.direction)
-        reasons = _check_failures(
-            solution.status.value, oracle.status.value, cosine, solution.objective, oracle.objective
-        )
-        failures.extend({"trial": trial, "reason": reason} for reason in reasons)
-        if cosine is not None:
-            min_cosine = cosine if min_cosine is None else min(min_cosine, cosine)
-            gap = abs(solution.objective - oracle.objective)
-            max_gap = max(max_gap, gap / max(abs(solution.objective), abs(oracle.objective)))
+        max_residual = max(max_residual, solved.residual_max)
+        if solved.residual_max > SELF_TEST_RESIDUAL:
+            failures.append({"trial": trial, "reason": f"residual {solved.residual_max!r}"})
+        failures.extend({"trial": trial, "reason": reason} for reason in _check_failures(solved))
+        if solved.cosine_agreement is not None:
+            cosines.append(solved.cosine_agreement)
+            gap = abs(solved.objective - solved.oracle_objective)
+            max_gap = max(max_gap, gap / max(abs(solved.objective), abs(solved.oracle_objective)))
             if n == 3 and m == 1:
                 triple = triple_product_direction(rows[0], b)
                 triple_norm = float(np.linalg.norm(triple))
                 if triple_norm > 0.0:
-                    cosine_t = float(solution.direction @ (triple / triple_norm))
-                    min_triple_cosine = (
-                        cosine_t if min_triple_cosine is None else min(min_triple_cosine, cosine_t)
-                    )
+                    cosine_t = float(np.array(solved.direction) @ (triple / triple_norm))
+                    triple_cosines.append(cosine_t)
                     if cosine_t < 1.0 - SELF_TEST_TRIPLE_COSINE:
                         failures.append({"trial": trial, "reason": f"triple cosine {cosine_t!r}"})
 
@@ -368,76 +338,39 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
         "seed": seed,
         "statuses": status_counts,
         "max_residual": max_residual,
-        "min_cosine": min_cosine,
+        "min_cosine": min(cosines, default=None),
         "max_objective_gap": max_gap,
     }
     if n == 3 and m == 1:
-        report["min_triple_cosine"] = min_triple_cosine
+        report["min_triple_cosine"] = min(triple_cosines, default=None)
     report["failures"] = failures
     report["passed"] = not failures
     return report, not failures
 
 
-def _solve_report_csv(report: SolveReport) -> str:
-    headers = ["field", "n", "m", "mode", "status", "objective", "residual_max"]
-    values = [
-        report.field,
-        report.n,
-        report.m,
-        report.mode,
-        report.status,
-        report.objective,
-        report.residual_max,
-    ]
-    if report.cosine_agreement is not None:
-        headers.append("cosine_agreement")
-        values.append(report.cosine_agreement)
-    if report.oracle_objective is not None:
-        headers.append("oracle_objective")
-        values.append(report.oracle_objective)
-    if report.field == "complex":
-        for i, (re, im) in enumerate(report.direction, start=1):
-            headers.extend([f"direction_{i}_re", f"direction_{i}_im"])
-            values.extend([re, im])
-    else:
-        for i, x in enumerate(report.direction, start=1):
-            headers.append(f"direction_{i}")
-            values.append(x)
+def _csv(columns: dict) -> str:
+    """One header row and one value row."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerow(values)
+    csv.writer(buffer, lineterminator="\n").writerows([columns, columns.values()])
     return buffer.getvalue()
+
+
+def _solve_report_csv(report: SolveReport) -> str:
+    names = "field n m mode status objective residual_max cosine_agreement oracle_objective"
+    columns = {name: v for name in names.split() if (v := getattr(report, name)) is not None}
+    for i, value in enumerate(report.direction, start=1):
+        if report.field == "complex":
+            columns[f"direction_{i}_re"], columns[f"direction_{i}_im"] = value
+        else:
+            columns[f"direction_{i}"] = value
+    return _csv(columns)
 
 
 def _self_test_csv(report: dict) -> str:
-    headers = [
-        "n",
-        "m",
-        "trials",
-        "seed",
-        "max_residual",
-        "min_cosine",
-        "max_objective_gap",
-        "failure_count",
-        "passed",
-    ]
-    values = [
-        report["n"],
-        report["m"],
-        report["trials"],
-        report["seed"],
-        report["max_residual"],
-        report["min_cosine"],
-        report["max_objective_gap"],
-        len(report["failures"]),
-        report["passed"],
-    ]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerow(values)
-    return buffer.getvalue()
+    names = "n m trials seed max_residual min_cosine max_objective_gap"
+    columns = {name: report[name] for name in names.split()}
+    columns.update(failure_count=len(report["failures"]), passed=report["passed"])
+    return _csv(columns)
 
 
 def _emit_error(exc: Exception) -> None:

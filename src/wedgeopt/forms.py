@@ -117,6 +117,8 @@ def _hodge_signs(n: int, k: int) -> np.ndarray:
     parity of moving the index's sorted slots I to the front of (0, ..., n-1),
     sum(I_j - j) transpositions.
     """
+    # the index list and its shifted copy
+    _check_work(16 * k * math.comb(n, k), f"the grade-{k} Hodge signs over R^{n}")
     swaps = (_combos(n, k) - np.arange(k)).sum(axis=1)
     sign = np.where(swaps % 2 == 0, 1.0, -1.0)
     sign.flags.writeable = False

@@ -23,6 +23,10 @@ from .solver import (
     SolveStatus,
     _check_pair,
     _degeneracy_coefficient,
+    _objective_scaled,
+    _power_of_two_scaled,
+    _scaled_ray,
+    _value,
 )
 
 __all__ = [
@@ -55,8 +59,8 @@ class OrthoBasis:
         if rank != vectors.shape[0] or rank != scales.shape[0]:
             raise DomainError("rank must equal the number of stored vectors and scales")
         if rank:
-            if np.any(scales <= 0.0):
-                raise DomainError("scales must be positive")
+            if not all(0.0 < scale < math.inf for scale in scales.tolist()):
+                raise DomainError("scales must be positive and finite")
             norms = np.linalg.norm(vectors, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-12:
                 raise DomainError("basis vectors must be unit-norm within 1e-12")
@@ -80,29 +84,34 @@ class OrthoBasis:
         return self.vectors.shape[1]
 
 
-def _gram_schmidt(matrix: np.ndarray) -> tuple[list[int], list[np.ndarray], list[float]]:
+def _gram_schmidt(matrix: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray]:
     """Modified Gram-Schmidt with one re-orthogonalization pass per row.
 
     Returns the indices of the kept rows, their orthonormal images and the
     residual norms removed from each.  A row is skipped when its residual
-    falls below RANK_TOLERANCE times the running row scale.
+    falls below RANK_TOLERANCE times the running row scale.  Rows are measured
+    divided by powers of two, `_power_of_two_scaled`, and compared as x * 2^e.
     """
-    kept: list[int] = []
-    vectors: list[np.ndarray] = []
-    scales: list[float] = []
-    running_scale = 0.0
-    for i, row in enumerate(matrix):
-        running_scale = max(running_scale, float(np.linalg.norm(row)))
+    kept, vectors, residuals = [], [], []
+    top, top_e = 0.0, 0  # the running row scale is top * 2^top_e
+    scaled, exponents = _power_of_two_scaled(matrix)
+    for i, (row, e) in enumerate(zip(scaled, exponents.tolist())):
+        norm = math.sqrt(row @ row)  # the rows are scaled: no square over- or underflows
+        # an exponent gap of 64 already decides either comparison
+        if norm and math.ldexp(norm, min(e - top_e, 64)) > top:
+            top, top_e = norm, e
         v = row.copy()
         for _ in range(2):
             for u in vectors:
                 v -= np.vdot(u, v) * u
-        residual = float(np.linalg.norm(v))
-        if residual > RANK_TOLERANCE * running_scale:
+        residual = math.sqrt(v @ v)
+        if math.ldexp(residual, min(e - top_e, 64)) > RANK_TOLERANCE * top:
             kept.append(i)
             vectors.append(v / residual)
-            scales.append(residual)
-    return kept, vectors, scales
+            residuals.append(residual)
+    # a scale outside the double range is refused by OrthoBasis
+    with np.errstate(over="ignore"):
+        return kept, vectors, np.ldexp(residuals, exponents[kept])
 
 
 def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
@@ -117,7 +126,7 @@ def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
         raise DomainError("rows must have finite entries")
     kept, vectors, scales = _gram_schmidt(matrix)
     vectors = np.array(vectors) if kept else np.zeros((0, matrix.shape[1]))
-    return OrthoBasis(vectors, np.array(scales), len(kept))
+    return OrthoBasis(vectors, scales, len(kept))
 
 
 def _full_basis(system: ConstraintSystem) -> OrthoBasis:
@@ -154,24 +163,26 @@ def oracle_direction(
     """Projection-based solve, independent of the wedge/contraction pipeline.
 
     The raw field carries the product of squared Gram-Schmidt scales times
-    the projected objective, which reproduces the solver's unnormalized ray.
+    the projected objective, which reproduces the solver's unnormalized ray;
+    as in the solver, a raw that is not a finite, nonzero double is refused.
     """
     coeff = _degeneracy_coefficient(tolerance)
     _check_pair(system, objective)
-    b = objective.b
+    b, shift = _objective_scaled(objective.b)
     sigma = 1.0 if objective.mode == "max" else -1.0
     if system.m == 0:
         direction = sigma * b / math.hypot(*b.tolist())
-        return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
+        value = _value(b @ direction, shift)
+        return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
     basis = _full_basis(system)
     perp = perpendicular_component(b, basis)
-    raw = float(np.prod(np.square(basis.scales))) * perp
+    raw = _raw(basis, perp, shift)
     # hypot scales its arguments, so neither norm over- or underflows
     perp_norm = math.hypot(*perp.tolist())
     if perp_norm <= coeff * math.hypot(*b.tolist()):
         return Solution(_first_free_axis(basis), raw, 0.0, SolveStatus.DEGENERATE)
     direction = sigma * perp / perp_norm
-    return Solution(direction, raw, float(b @ direction), SolveStatus.OPTIMAL)
+    return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
 
 
 def _first_free_axis(basis: OrthoBasis) -> np.ndarray:
@@ -184,20 +195,28 @@ def _first_free_axis(basis: OrthoBasis) -> np.ndarray:
     raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
 
 
+def _raw(basis: OrthoBasis, perp: np.ndarray, shift: int) -> np.ndarray:
+    """prod(scales^2) * perp * 2^shift, with the product, which may not be a double, as x * 2^e."""
+    parts = [math.frexp(scale) for scale in basis.scales.tolist()]
+    product = math.prod(mantissa * mantissa for mantissa, _ in parts)
+    return _scaled_ray(product, shift + 2 * sum(e for _, e in parts), perp)
+
+
 def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
     """t_star times the squared Gram-Schmidt scales times ||b_perp||^2.
 
-    Must match objective_value from the solver module up to the shared sign
-    convention; negative of the maximum for mode "min".
+    Computed as t_star * (b . raw) from oracle_direction, so, as objective_value,
+    it is refused when raw or the value is not representable.  Matches
+    objective_value up to the shared sign convention; negative of the maximum
+    for mode "min".
     """
     if not t_star > 0:
         raise DomainError(f"t_star must be positive, got {t_star}")
     if system.m == 0:
         raise DomainError("oracle_value needs at least one constraint row")
-    _check_pair(system, objective)
-    basis = _full_basis(system)
-    perp = perpendicular_component(objective.b, basis)
-    value = float(t_star) * float(np.prod(np.square(basis.scales))) * float(perp @ perp)
+    raw = oracle_direction(system, objective).raw
+    with np.errstate(over="ignore", invalid="ignore"):  # _value refuses a non-finite value
+        value = _value(float(t_star) * float(objective.b @ raw), 0)
     return value if objective.mode == "max" else -value
 
 

@@ -193,7 +193,7 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     if m == 0:
         raise DomainError("an unconstrained system has no constraint form")
     _check_shape(n, m)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if 2 * m <= n:
             coeffs = system.rows[0]
             for k, row in enumerate(system.rows[1:], 1):
@@ -202,6 +202,17 @@ def constraint_form(system: ConstraintSystem) -> KForm:
             submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
             coeffs = np.linalg.det(submatrices)
     return KForm(n, m, coeffs)
+
+
+def _power_of_two_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by the exact power of two 2^e that brings its largest
+    real or imaginary part into [1/2, 1), and e (0 for a zero row)."""
+    # The scaled norms neither over- nor underflow.  |z| can overflow, so it
+    # is not the measure: the parts are, as one real array side by side.
+    rows = np.ascontiguousarray(rows, dtype=complex if np.iscomplexobj(rows) else float)
+    parts = rows.view(float)
+    e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
+    return np.ldexp(parts, -e[:, None]).view(rows.dtype), e
 
 
 def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int]:
@@ -216,13 +227,7 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise DomainError("expected a 2-d row matrix")
-    # Each row is first divided by the exact power of two, 2^e, that brings
-    # its largest real or imaginary part into [1/2, 1), so its norm neither
-    # over- nor underflows; 2^-e is applied in two halves, as it may not be
-    # a double.  |z| itself can overflow, so it is not the measure.
-    largest = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1, initial=0.0)
-    e = np.frexp(largest)[1][:, None]
-    rows = rows * np.ldexp(1.0, -(e // 2)) * np.ldexp(1.0, e // 2 - e)
+    rows = _power_of_two_scaled(rows)[0]
     norms = np.linalg.norm(rows, axis=1)
 
     def passes(indices: list[int]) -> bool:
@@ -278,22 +283,43 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     return np.eye(constraint.n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
 
 
-def _ray(constraint: KForm, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The projector P, the null-space part P(P b) of b, and the ray ||A_form||^2 P(P b).
+def _ray(constraint: KForm, b: np.ndarray, shift: int) -> tuple[np.ndarray, ...]:
+    """For the objective b * 2^shift: the projector P, the null-space part P(P b)
+    of b, and the ray ||A_form||^2 P(P b) * 2^shift.
 
     P is applied twice, as two matrix-vector products: one pass leaves
     rounding of about eps ||b|| in the row span, the second removes it.
     """
     projector, norm_sq, exponent = _null_projector(constraint)
     perp = projector @ (projector @ b)
+    return projector, perp, _scaled_ray(norm_sq, exponent + shift, perp)
+
+
+def _scaled_ray(norm_sq: float, exponent: int, perp: np.ndarray) -> np.ndarray:
+    """The ray norm_sq * 2^exponent * perp, refused when it over- or underflows."""
     with np.errstate(over="ignore"):  # an overflow is reported below
         raw = np.ldexp(norm_sq * perp, exponent)
-    if not np.all(np.isfinite(raw)) or (perp.any() and not raw.any()):
+    peak = max(map(abs, raw.tolist()))
+    if not peak < math.inf or (not peak and perp.any()):
         raise DomainError(
             f"the unnormalized ray ||A_form||^2 * b_perp is not representable: "
-            f"||A_form||^2 is {norm_sq!r} * 2**{exponent}"
+            f"its scale is {norm_sq!r} * 2**{exponent}"
         )
-    return projector, perp, raw
+    return raw
+
+
+def _objective_scaled(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """b / 2^shift, with its largest entry in [1/2, 1), and shift: no product with it overflows."""
+    shift = math.frexp(max(map(abs, b.tolist())))[1]
+    return np.ldexp(b, -shift), shift
+
+
+def _value(x: float, shift: int) -> float:
+    """The objective value x * 2^shift, refused when it is not a finite double."""
+    # x = f * 2^e with f in [1/2, 1) scales past the largest double iff e + shift > 1024
+    if not math.isfinite(x) or math.frexp(x)[1] + shift > 1024:
+        raise DomainError(f"the objective value is not representable: {float(x)!r} * 2**{shift}")
+    return math.ldexp(x, shift)
 
 
 def optimal_direction(
@@ -311,16 +337,18 @@ def optimal_direction(
     the objective value is zero.
 
     `tolerance` overrides the relative degeneracy coefficient
-    (default DEGENERACY_TOLERANCE); it must be finite and positive.
+    (default DEGENERACY_TOLERANCE); it must be finite and positive.  b is
+    used divided by a power of two, `_objective_scaled`, so nothing overflows.
     """
     coeff = _degeneracy_coefficient(tolerance)
     _check_pair(system, objective)
-    b = objective.b
+    b, shift = _objective_scaled(objective.b)
     sigma = 1.0 if objective.mode == "max" else -1.0
     if system.m == 0:
         direction = sigma * b / _norm(b)
-        return Solution(direction, b, float(b @ direction), SolveStatus.UNCONSTRAINED)
-    projector, perp, raw = _ray(_full_rank_form(system), b)
+        value = _value(b @ direction, shift)
+        return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
+    projector, perp, raw = _ray(_full_rank_form(system), b, shift)
     perp_norm = _norm(perp)
     if perp_norm <= coeff * _norm(b):
         return Solution(_first_free_ray(projector), raw, 0.0, SolveStatus.DEGENERATE)
@@ -328,7 +356,7 @@ def optimal_direction(
     if float(b @ direction) < 0.0:
         sigma = -sigma
     direction *= sigma
-    return Solution(direction, raw, float(b @ direction), SolveStatus.OPTIMAL)
+    return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
 
 
 def objective_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
@@ -342,12 +370,9 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
         raise DomainError(f"t_star must be positive, got {t_star}")
     if system.m == 0:
         raise DomainError("objective_value needs at least one constraint row")
-    _check_pair(system, objective)
-    raw = _ray(_full_rank_form(system), objective.b)[2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(t_star) * float(objective.b @ raw)
-    if not np.isfinite(value):
-        raise DomainError(f"the objective value t_star * (b . raw) is not representable: {value!r}")
+    raw = optimal_direction(system, objective).raw
+    with np.errstate(over="ignore", invalid="ignore"):  # _value refuses a non-finite value
+        value = _value(float(t_star) * float(objective.b @ raw), 0)
     return value if objective.mode == "max" else -value
 
 

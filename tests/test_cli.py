@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 from helpers import allocates_nothing
-from wedgeopt.cli import evaluate_check, main, parse_problem, run_solve, self_test
+from wedgeopt import cli
+from wedgeopt.cli import SolveReport, evaluate_check, main, parse_problem, run_solve, self_test
 from wedgeopt.complexify import ComplexProblem, solve_complex
 from wedgeopt.errors import DomainError, ParseError, ValidationError
 from wedgeopt.oracle import oracle_direction
-from wedgeopt.solver import ConstraintSystem, Objective, optimal_direction
+from wedgeopt.solver import ConstraintSystem, Objective, Solution, SolveStatus, optimal_direction
 
 SIMPLE_3D = {
     "field": "real",
@@ -23,6 +25,15 @@ SIMPLE_3D = {
     "A": [[0, 0, 1]],
     "B": [1, 0, 0],
     "mode": "max",
+}
+
+
+SIMPLE_COMPLEX = {
+    "field": "complex",
+    "n": 2,
+    "m": 1,
+    "A": [[[1, 0], [0, 1]]],
+    "B": [[1, 0], [0, 1]],
 }
 
 
@@ -94,6 +105,30 @@ class TestParseProblem:
         spec = parse_problem(write_problem(tmp_path, doc))
         assert spec.a[0, 1] == 1j
         assert spec.part == "re"
+
+    @pytest.mark.parametrize(
+        "where, doc",
+        [
+            ("A[0][1]", dict(SIMPLE_3D, A=[[0, 10**400, 1]])),
+            ("B[2]", dict(SIMPLE_3D, B=[1, 0, -(10**400)])),
+            ("A[0][1][1]", dict(SIMPLE_COMPLEX, A=[[[1, 0], [0, 10**400]]])),
+            ("tolerance", dict(SIMPLE_3D, tolerance=10**400)),
+        ],
+    )
+    def test_integer_past_the_double_range(self, tmp_path, capsys, where, doc):
+        # float() of such an integer raises OverflowError, unlike 1e400, which json reads as inf
+        path = write_problem(tmp_path, doc)
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            parse_problem(path)
+        assert main(["--input", path, "--check"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError" and where in error["message"]
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"n": 2, "m": 0, "A": [], "B": [1, 1' + "0" * 5000 + "]}")
+        assert main(["--input", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ParseError"
 
     def test_objective_part_rejected_for_real(self, tmp_path):
         doc = dict(SIMPLE_3D, objective_part="re")
@@ -313,6 +348,32 @@ class TestMainExitCodes:
 
 
 class TestOutputContracts:
+    def test_report_fields_are_keyword_only_and_in_output_order(self):
+        with pytest.raises(TypeError):
+            SolveReport("real", 3, 1, "max", None, "optimal", 1.0, [], [], 0.0)
+        report = SolveReport(
+            field="complex", n=2, m=1, mode="min", status="optimal", objective=1.0,
+            direction=[], raw=[], residual_max=0.0, objective_part="im", cosine_agreement=1.0,
+        )
+        assert list(report.to_dict()) == [
+            "field", "n", "m", "mode", "objective_part", "status", "objective",
+            "direction", "raw", "residual_max", "cosine_agreement", "timings",
+        ]
+
+    def test_residual_of_rows_past_the_square_range(self, tmp_path, capsys):
+        # the squares of 1e200 overflow, so the rows are measured divided by 2^e
+        rows = np.array([[1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        assert cli._relative_residual(rows, np.array([0.6, 0.0, 0.8])) == pytest.approx(0.6)
+        residual = cli._relative_residual(rows[1:2], np.array([0.6, 0.0, 0.8]))
+        assert residual == pytest.approx(6e-201)
+        # without --check: the oracle's rank test calls a row 1e400 times
+        # smaller than the largest one dependent
+        doc = {"n": 4, "m": 2, "A": [[1e200, 0, 0, 0], [0, 1e-200, 0, 0]], "B": [1, 1, 1, 1]}
+        assert main(["--input", write_problem(tmp_path, doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["residual_max"] <= 1e-12
+
     def test_round_trip_residual(self, tmp_path, capsys):
         rng = np.random.default_rng(81)
         doc = {
@@ -415,6 +476,18 @@ class TestSelfTest:
             self_test(3, 1, 5, -1)
         assert main(["--self-test", "3", "1", "5", "-1"]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+
+    def test_trials_run_the_check_path(self, monkeypatch):
+        def skewed_oracle(system, objective, tolerance=None):
+            direction = np.zeros(system.n)
+            direction[1] = 1.0
+            return Solution(direction, direction, 0.5, SolveStatus.OPTIMAL)
+
+        monkeypatch.setattr(cli, "oracle_direction", skewed_oracle)
+        report, ok = self_test(4, 1, 3, 0)
+        assert not ok
+        assert {failure["trial"] for failure in report["failures"]} == {0, 1, 2}
+        assert any("objective mismatch" in failure["reason"] for failure in report["failures"])
 
     def test_deterministic(self):
         first, _ = self_test(5, 2, 10, 42)

@@ -352,6 +352,19 @@ class TestHodge:
                     expected = brute_hodge(n, k, coeffs)
                     assert np.allclose(hodge(KForm(n, k, coeffs)).coeffs, expected, atol=1e-13)
 
+    def test_cold_signs_over_budget_refused_before_allocating(self):
+        # 13 * C(30, 13), about 1.6e9, index entries: about 25 GB with the copy
+        with allocates_nothing(), pytest.raises(DomainError, match="budget"):
+            forms._hodge_signs(30, 13)
+
+    def test_dual_over_a_small_budget_refused(self, monkeypatch):
+        # 16 * 8 * C(16, 8) bytes, about 1.6 MB, over a budget of 1 MiB
+        form = KForm(16, 8, np.ones(math.comb(16, 8)))
+        forms._hodge_signs.cache_clear()
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 2**20)
+        with pytest.raises(DomainError, match="Hodge signs"):
+            hodge(form)
+
     def test_cross_product_bridge(self):
         rng = np.random.default_rng(9)
         for _ in range(25):

@@ -1,9 +1,12 @@
 """Projection oracle unit and cross-validation tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from helpers import random_instance, relative_residual, span_combination
+from reference import null_space_direction
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.oracle import (
     OrthoBasis,
@@ -190,6 +193,80 @@ class TestOracleValue:
             fast = objective_value(system, objective, t_star)
             slow = oracle_value(system, objective, t_star)
             assert fast == pytest.approx(slow, rel=1e-9)
+
+
+class TestOracleScaleRobustness:
+    """The random 3x6 system from default_rng(0) with rows scaled by 2^rows_k and
+    the objective by 2^b_k: the oracle ends as the solver does, with no
+    RuntimeWarning (pytest turns one into an error)."""
+
+    CASES = [(600, 0), (-600, 0), (1000, 0), (-1000, 0), (200, 0), (-300, 0)]
+    CASES += [(190, -300), (-190, 300), (0, 600), (0, 0)]
+
+    @staticmethod
+    def instance(rows_k, b_k):
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((3, 6))
+        b = rng.standard_normal(6)
+        system = ConstraintSystem(np.ldexp(rows, rows_k))
+        return system, Objective(np.ldexp(b, b_k)), null_space_direction(rows, b)
+
+    @staticmethod
+    def outcome(solve, *args):
+        try:
+            return solve(*args)
+        except DomainError:
+            return None
+
+    @pytest.mark.parametrize("rows_k, b_k", CASES)
+    def test_direction_ends_as_the_solver_does(self, rows_k, b_k):
+        system, objective, expected = self.instance(rows_k, b_k)
+        fast = self.outcome(optimal_direction, system, objective)
+        slow = self.outcome(oracle_direction, system, objective)
+        assert (fast is None) == (slow is None)
+        assert (fast is None) == (rows_k not in (0, 190, -190))
+        if fast is not None:
+            assert fast.status == slow.status == SolveStatus.OPTIMAL
+            assert np.max(np.abs(slow.direction - fast.direction)) <= 1e-12
+            assert np.max(np.abs(slow.direction - expected)) <= 1e-12
+            assert np.all(np.isfinite(slow.raw)) and np.any(slow.raw)
+
+    @pytest.mark.parametrize("rows_k, b_k", CASES)
+    def test_value_ends_as_the_solver_does(self, rows_k, b_k):
+        system, objective, _ = self.instance(rows_k, b_k)
+        fast = self.outcome(objective_value, system, objective, 1.0)
+        slow = self.outcome(oracle_value, system, objective, 1.0)
+        assert (fast is None) == (slow is None)
+        assert (fast is None) == ((rows_k, b_k) not in ((0, 0), (190, -300), (-190, 300)))
+        if fast is not None:
+            assert slow == pytest.approx(fast, rel=1e-12)
+
+    def test_objective_at_the_top_of_the_double_range(self):
+        # P b, with P a projector, overflows for such b unless b is divided by a
+        # power of two first; the last objective's value ||b_perp|| is past the range
+        rows = np.array(
+            [[0.8184808436607272, 0.6348933568819352, 0.5204867619680973, 0.5082638177642645]]
+        )
+        b = [1.7e308, 1.7e308, 0.0, 0.0]
+        expected = null_space_direction(rows, np.ldexp(b, -1000))
+        for solve in (optimal_direction, oracle_direction):
+            solution = solve(ConstraintSystem(rows), Objective(b))
+            assert solution.status is SolveStatus.OPTIMAL
+            assert np.max(np.abs(solution.direction - expected)) <= 1e-12
+            objective = np.ldexp(np.ldexp(b, -1000) @ expected, 1000)
+            assert solution.objective == pytest.approx(float(objective))
+            unconstrained = solve(ConstraintSystem.unconstrained(2), Objective([1e308, 1e308]))
+            assert unconstrained.objective == pytest.approx(math.sqrt(2) * 1e308)
+            with pytest.raises(DomainError, match="not representable"):
+                solve(ConstraintSystem(rows), Objective([-1.63e308, 1.72e308, 1.44e308, -1.55e308]))
+            with pytest.raises(DomainError, match="not representable"):
+                solve(ConstraintSystem.unconstrained(2), Objective([1.7e308, 1e308]))
+
+    def test_scale_past_the_double_range_refused(self):
+        # the first row norm is about 2.1 * 2^1023: finite entries, no finite scale
+        rows = np.ldexp([[1.5, 1.5, 0.0], [0.0, 1.5, 1.5]], 1023)
+        with pytest.raises(DomainError, match="finite"):
+            orthonormalize(rows)
 
 
 class TestSampleFeasible:

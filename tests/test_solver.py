@@ -418,6 +418,13 @@ class TestPowerOfTwoScaling:
         b = rng.standard_normal(6)
         return rows, b, null_space_direction(rows, b)
 
+    def test_determinant_path_does_not_warn(self):
+        # the batched det of the columns (1, 2) minor divides by zero inside
+        # numpy, which the kernel ignores as it does over- and underflow
+        rows = [[0.0, 1.8989466156040423e58, 0.0], [7.4e-323, -2.73045615165507e-147, 1e-147]]
+        coeffs = constraint_form(ConstraintSystem(rows)).coeffs
+        assert coeffs[2] == pytest.approx(1.8989466156040423e-89, rel=1e-15)
+
     @pytest.mark.parametrize("k", [-100, 100])
     def test_rows_within_range_solve(self, k):
         rows, b, expected = self.instance()
