@@ -7,7 +7,7 @@ coordinates (Re x_1 .. Re x_n, Im x_1 .. Im x_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,12 +19,22 @@ __all__ = ["ComplexProblem", "ComplexSolution", "realify", "solve_complex"]
 
 @dataclass(frozen=True, eq=False)
 class ComplexProblem:
-    """Complex constraints plus the choice of Re or Im of b . x to optimize."""
+    """Complex constraints plus the choice of Re or Im of b . x to optimize.
+
+    `system` and `objective`, built once, here, and returned by `realify`,
+    are the real 2m x 2n problem in (Re x, Im x) coordinates.  Each complex
+    row a contributes the pair (Re a, -Im a) for the real part of the
+    constraint and (Im a, Re a) for the imaginary part, interleaved in that
+    order.  The objective vector is (Re b, -Im b) for part "re" and
+    (Im b, Re b) for part "im", matching the bilinear product b . x.
+    """
 
     rows: np.ndarray
     b: np.ndarray
     part: str = "re"
     mode: str = "max"
+    system: ConstraintSystem = field(init=False, repr=False)
+    objective: Objective = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=complex)
@@ -39,11 +49,22 @@ class ComplexProblem:
         b.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "b", b)
-        # The realified system and objective carry every other rule: the
-        # dimension limit, applied to 2n, m < n, finite nonzero rows, a
-        # finite nonzero objective and the mode.  The work budget is checked
-        # by the solve, on the real 2m x 2n shape.
-        realify(self)
+        m, n = rows.shape
+        real = np.zeros((2 * m, 2 * n))
+        real[0::2, :n] = rows.real
+        real[0::2, n:] = -rows.imag
+        real[1::2, :n] = rows.imag
+        real[1::2, n:] = rows.real
+        if self.part == "re":
+            vec = np.concatenate([b.real, -b.imag])
+        else:
+            vec = np.concatenate([b.imag, b.real])
+        # The real system and objective carry every other rule: the dimension
+        # limit, applied to 2n, m < n, finite nonzero rows, a finite nonzero
+        # objective and the mode.  The work budget is checked by the solve, on
+        # the real 2m x 2n shape.
+        object.__setattr__(self, "system", ConstraintSystem(real))
+        object.__setattr__(self, "objective", Objective(vec, self.mode))
 
     @property
     def m(self) -> int:
@@ -75,24 +96,9 @@ class ComplexSolution:
 
 
 def realify(problem: ComplexProblem) -> tuple[ConstraintSystem, Objective]:
-    """Real 2m x 2n system and matching objective in (Re x, Im x) coordinates.
-
-    Each complex row a contributes the pair (Re a, -Im a) for the real part
-    of the constraint and (Im a, Re a) for the imaginary part, interleaved
-    in that order.  The objective vector is (Re b, -Im b) for part "re" and
-    (Im b, Re b) for part "im", matching the bilinear product b . x.
-    """
-    m, n = problem.m, problem.n
-    rows = np.zeros((2 * m, 2 * n))
-    rows[0::2, :n] = problem.rows.real
-    rows[0::2, n:] = -problem.rows.imag
-    rows[1::2, :n] = problem.rows.imag
-    rows[1::2, n:] = problem.rows.real
-    if problem.part == "re":
-        b = np.concatenate([problem.b.real, -problem.b.imag])
-    else:
-        b = np.concatenate([problem.b.imag, problem.b.real])
-    return ConstraintSystem(rows), Objective(b, problem.mode)
+    """Real 2m x 2n system and matching objective in (Re x, Im x) coordinates:
+    `problem.system` and `problem.objective`, built with the problem."""
+    return problem.system, problem.objective
 
 
 def solve_complex(problem: ComplexProblem, tolerance: float | None = None) -> ComplexSolution:
@@ -102,8 +108,7 @@ def solve_complex(problem: ComplexProblem, tolerance: float | None = None) -> Co
     direction has unit norm, and it satisfies every complex constraint in
     both real and imaginary parts.
     """
-    system, objective = realify(problem)
-    solution = optimal_direction(system, objective, tolerance)
+    solution = optimal_direction(*realify(problem), tolerance)
     direction, raw = _fold(solution.direction), _fold(solution.raw)
     return ComplexSolution(direction, raw, solution.objective, solution.status)
 

@@ -23,7 +23,6 @@ from .solver import (
     SolveStatus,
     _check_pair,
     _degeneracy_coefficient,
-    _objective_scaled,
     _power_of_two_scaled,
     _scaled_ray,
     _value,
@@ -84,34 +83,37 @@ class OrthoBasis:
         return self.vectors.shape[1]
 
 
-def _gram_schmidt(matrix: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray]:
+def _gram_schmidt(
+    scaled: np.ndarray, exponents: np.ndarray
+) -> tuple[OrthoBasis, list[tuple[int, float]]]:
     """Modified Gram-Schmidt with one re-orthogonalization pass per row.
 
-    Returns the indices of the kept rows, their orthonormal images and the
-    residual norms removed from each.  A row is skipped when its residual
-    falls below RANK_TOLERANCE times the running row scale.  Rows are measured
-    divided by powers of two, `_power_of_two_scaled`, and compared as x * 2^e.
+    Takes the rows as `_power_of_two_scaled` gives them, each row divided by
+    2^e.  Returns the orthonormal images of the kept rows with the norms
+    removed from each, scaled back by 2^e, and, for each row dropped, its
+    index and its residual over its norm.  A row is dropped when its
+    residual is at most RANK_TOLERANCE times its own norm, a rule that no
+    per-row rescaling changes.
     """
-    kept, vectors, residuals = [], [], []
-    top, top_e = 0.0, 0  # the running row scale is top * 2^top_e
-    scaled, exponents = _power_of_two_scaled(matrix)
-    for i, (row, e) in enumerate(zip(scaled, exponents.tolist())):
+    kept, vectors, residuals, dropped = [], [], [], []
+    for i, row in enumerate(scaled):
         norm = math.sqrt(row @ row)  # the rows are scaled: no square over- or underflows
-        # an exponent gap of 64 already decides either comparison
-        if norm and math.ldexp(norm, min(e - top_e, 64)) > top:
-            top, top_e = norm, e
         v = row.copy()
         for _ in range(2):
             for u in vectors:
                 v -= np.vdot(u, v) * u
         residual = math.sqrt(v @ v)
-        if math.ldexp(residual, min(e - top_e, 64)) > RANK_TOLERANCE * top:
+        if residual > RANK_TOLERANCE * norm:
             kept.append(i)
             vectors.append(v / residual)
             residuals.append(residual)
+        else:
+            dropped.append((i, residual / norm if norm else 0.0))
     # a scale outside the double range is refused by OrthoBasis
     with np.errstate(over="ignore"):
-        return kept, vectors, np.ldexp(residuals, exponents[kept])
+        scales = np.ldexp(residuals, exponents[kept])
+    vectors = np.reshape(vectors, (len(kept), scaled.shape[1]))
+    return OrthoBasis(vectors, scales, len(kept)), dropped
 
 
 def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
@@ -124,18 +126,18 @@ def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
         raise DomainError("orthonormalize expects at least one row vector")
     if not np.all(np.isfinite(matrix)):
         raise DomainError("rows must have finite entries")
-    kept, vectors, scales = _gram_schmidt(matrix)
-    vectors = np.array(vectors) if kept else np.zeros((0, matrix.shape[1]))
-    return OrthoBasis(vectors, scales, len(kept))
+    return _gram_schmidt(*_power_of_two_scaled(matrix))[0]
 
 
 def _full_basis(system: ConstraintSystem) -> OrthoBasis:
     """Gram-Schmidt basis of a system with m >= 1, after the oracle's rank test."""
-    basis = orthonormalize(system.rows)
-    if basis.rank < system.m:
+    basis, dropped = _gram_schmidt(system.scaled, system.exponents)
+    if dropped:
+        i, ratio = dropped[0]
         raise RankDeficientError(
             "constraint rows are linearly dependent; drop dependent rows "
-            "(for the CLI: --reduce-rows) and retry"
+            "(for the CLI: --reduce-rows) and retry; the oracle's Gram-Schmidt residual "
+            f"of row {i} over its norm is {ratio!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
         )
     return basis
 
@@ -168,7 +170,7 @@ def oracle_direction(
     """
     coeff = _degeneracy_coefficient(tolerance)
     _check_pair(system, objective)
-    b, shift = _objective_scaled(objective.b)
+    b, shift = objective.scaled, objective.shift
     sigma = 1.0 if objective.mode == "max" else -1.0
     if system.m == 0:
         direction = sigma * b / math.hypot(*b.tolist())

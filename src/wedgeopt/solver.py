@@ -17,7 +17,7 @@ when 2m <= n and takes the minors as a batch of determinants otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -61,9 +61,16 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """An m x n matrix of constraint rows, with 0 <= m < n."""
+    """An m x n matrix of constraint rows, with 0 <= m < n.
+
+    `scaled` holds each row divided by the exact power of two 2^e that brings
+    its largest entry into [1/2, 1), and `exponents` holds e: they are
+    computed once, here, and every rank test reads them.
+    """
 
     rows: np.ndarray
+    scaled: np.ndarray = field(init=False, repr=False)
+    exponents: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=float)
@@ -77,8 +84,10 @@ class ConstraintSystem:
             raise DomainError("constraint rows must have finite entries")
         if not rows.any(axis=1).all():
             raise DomainError("constraint rows must be nonzero")
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        scaled, exponents = _power_of_two_scaled(rows)
+        for name, value in (("rows", rows), ("scaled", scaled), ("exponents", exponents)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def unconstrained(cls, n: int) -> "ConstraintSystem":
@@ -96,10 +105,16 @@ class ConstraintSystem:
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """Objective vector plus the sense of optimization along it."""
+    """Objective vector plus the sense of optimization along it.
+
+    `scaled` is b / 2^shift, with its largest entry in [1/2, 1), so that no
+    product with it overflows; both are computed once, here.
+    """
 
     b: np.ndarray
     mode: str = "max"
+    scaled: np.ndarray = field(init=False, repr=False)
+    shift: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         b = np.array(self.b, dtype=float)
@@ -111,8 +126,11 @@ class Objective:
             raise DomainError("objective vector must have positive norm")
         if self.mode not in ("max", "min"):
             raise DomainError(f"mode must be 'max' or 'min', got {self.mode!r}")
-        b.flags.writeable = False
-        object.__setattr__(self, "b", b)
+        shift = math.frexp(max(map(abs, b.tolist())))[1]
+        for name, value in (("b", b), ("scaled", np.ldexp(b, -shift))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "shift", shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,31 +246,36 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     if rows.ndim != 2:
         raise DomainError("expected a 2-d row matrix")
     rows = _power_of_two_scaled(rows)[0]
-    norms = np.linalg.norm(rows, axis=1)
+    nonzero = rows.any(axis=1)
 
     def passes(indices: list[int]) -> bool:
         # svd returns min(rows, columns) values, so a wide stack needs this test
-        if len(indices) > rows.shape[1]:
-            return False
-        unit_rows = rows[indices] / norms[indices, None]
-        return bool(np.linalg.svd(unit_rows, compute_uv=False)[-1] > RANK_TOLERANCE)
+        return len(indices) <= rows.shape[1] and _sigma_min(rows[indices]) > RANK_TOLERANCE
 
     everything = list(range(rows.shape[0]))
-    if not everything or (np.all(norms > 0.0) and passes(everything)):
+    if not everything or (nonzero.all() and passes(everything)):
         return everything
     kept: list[int] = []
     for i in everything:
-        if norms[i] > 0.0 and passes(kept + [i]):
+        if nonzero[i] and passes(kept + [i]):
             kept.append(i)
     return kept
 
 
+def _sigma_min(scaled: np.ndarray) -> float:
+    """Smallest singular value of nonzero power-of-two-scaled rows, each divided by its norm."""
+    unit_rows = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return float(np.linalg.svd(unit_rows, compute_uv=False)[-1])
+
+
 def _full_rank_form(system: ConstraintSystem) -> KForm:
     """Constraint form of a system with m >= 1, after the rank test."""
-    if len(independent_rows(system.rows)) < system.m:
+    sigma = _sigma_min(system.scaled)
+    if not sigma > RANK_TOLERANCE:
         raise RankDeficientError(
             "constraint rows are linearly dependent; drop dependent rows "
-            "(for the CLI: --reduce-rows) and retry"
+            "(for the CLI: --reduce-rows) and retry; the solver's smallest singular value "
+            f"of the unit rows is {sigma!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
         )
     return constraint_form(system)
 
@@ -308,12 +331,6 @@ def _scaled_ray(norm_sq: float, exponent: int, perp: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _objective_scaled(b: np.ndarray) -> tuple[np.ndarray, int]:
-    """b / 2^shift, with its largest entry in [1/2, 1), and shift: no product with it overflows."""
-    shift = math.frexp(max(map(abs, b.tolist())))[1]
-    return np.ldexp(b, -shift), shift
-
-
 def _value(x: float, shift: int) -> float:
     """The objective value x * 2^shift, refused when it is not a finite double."""
     # x = f * 2^e with f in [1/2, 1) scales past the largest double iff e + shift > 1024
@@ -338,11 +355,11 @@ def optimal_direction(
 
     `tolerance` overrides the relative degeneracy coefficient
     (default DEGENERACY_TOLERANCE); it must be finite and positive.  b is
-    used divided by a power of two, `_objective_scaled`, so nothing overflows.
+    used divided by a power of two, `objective.scaled`, so nothing overflows.
     """
     coeff = _degeneracy_coefficient(tolerance)
     _check_pair(system, objective)
-    b, shift = _objective_scaled(objective.b)
+    b, shift = objective.scaled, objective.shift
     sigma = 1.0 if objective.mode == "max" else -1.0
     if system.m == 0:
         direction = sigma * b / _norm(b)
@@ -377,16 +394,23 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
 
 
 def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarray:
-    """Classical 3-d route a x (b x a); the zero vector iff a and b are parallel."""
+    """Classical 3-d route a x (b x a); the zero vector iff a and b are parallel.
+
+    a and b are divided by the exact powers of two 2^ea and 2^eb that bring
+    their largest entries into [1/2, 1), so no product over- or underflows,
+    and the result is scaled back by 2^(2 ea + eb).  It is the ray |a|^2 b_perp
+    of the row a, refused by `_scaled_ray` when it is not representable.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (3,) or b.shape != (3,):
         raise DomainError("both vectors must be 3-dimensional")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("inputs must have finite entries")
-    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
+    if not (a.any() and b.any()):
         raise DomainError("inputs must be nonzero vectors")
-    return np.cross(a, np.cross(b, a))
+    (a, b), (ea, eb) = _power_of_two_scaled(np.array([a, b]))
+    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)))
 
 
 def _first_free_ray(projector: np.ndarray) -> np.ndarray:

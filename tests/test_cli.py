@@ -260,7 +260,26 @@ class TestMainExitCodes:
         assert main(["--input", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "RankDeficientError"
+        message = err["error"]["message"]
+        assert "the solver's smallest singular value of the unit rows is 0.0" in message
         assert main(["--input", path, "--reduce-rows"]) == 0
+
+    @pytest.mark.parametrize("doc", [SIMPLE_3D, SIMPLE_COMPLEX], ids=["real", "complex"])
+    def test_check_scales_the_rows_once_and_the_residual_once(self, tmp_path, monkeypatch, doc):
+        import wedgeopt.oracle
+        import wedgeopt.solver
+
+        scaled = []
+
+        def counting(rows, original=wedgeopt.solver._power_of_two_scaled):
+            scaled.append(rows.shape)
+            return original(rows)
+
+        for module in (wedgeopt.solver, wedgeopt.oracle, cli):
+            monkeypatch.setattr(module, "_power_of_two_scaled", counting)
+        assert main(["--input", write_problem(tmp_path, doc), "--check"]) == 0
+        # once where ConstraintSystem is built, once in the CLI residual
+        assert len(scaled) == 2
 
     def test_requires_exactly_one_action(self, capsys):
         assert main([]) == 1
@@ -366,10 +385,8 @@ class TestOutputContracts:
         assert cli._relative_residual(rows, np.array([0.6, 0.0, 0.8])) == pytest.approx(0.6)
         residual = cli._relative_residual(rows[1:2], np.array([0.6, 0.0, 0.8]))
         assert residual == pytest.approx(6e-201)
-        # without --check: the oracle's rank test calls a row 1e400 times
-        # smaller than the largest one dependent
         doc = {"n": 4, "m": 2, "A": [[1e200, 0, 0, 0], [0, 1e-200, 0, 0]], "B": [1, 1, 1, 1]}
-        assert main(["--input", write_problem(tmp_path, doc)]) == 0
+        assert main(["--input", write_problem(tmp_path, doc), "--check"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["residual_max"] <= 1e-12

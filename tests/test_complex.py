@@ -54,6 +54,20 @@ class TestRealify:
         system, _ = realify(problem)
         assert (system.m, system.n) == (6, 10)
 
+    def test_realified_once_when_the_problem_is_built(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        problem = ComplexProblem(random_complex(rng, (2, 4)), random_complex(rng, 4), mode="min")
+        system, objective = realify(problem)
+        assert system is problem.system and objective is problem.objective
+
+        def refuse(self):
+            raise AssertionError("a new ConstraintSystem was built")
+
+        monkeypatch.setattr(ConstraintSystem, "__post_init__", refuse)
+        solution = solve_complex(problem)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert np.max(np.abs(problem.rows @ solution.direction)) <= 1e-12
+
 
 class TestSolveComplex:
     def test_worked_example(self):

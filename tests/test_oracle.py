@@ -1,12 +1,18 @@
 """Projection oracle unit and cross-validation tests."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_instance, relative_residual, span_combination
 from reference import null_space_direction
+from wedgeopt import cli
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.oracle import (
     OrthoBasis,
@@ -347,3 +353,41 @@ class TestCrossValidation:
             for seed in range(40):
                 sample = sample_feasible(system, seed)
                 assert float(objective.b @ sample) <= solution.objective + 1e-9
+
+
+@st.composite
+def row_scaled_problems(draw):
+    """A well-conditioned system (condition number below 1e4) in R^n, n <= 8,
+    an objective, and one power-of-two exponent in [-60, 60] per row."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, n))
+    assume(np.linalg.cond(rows) < 1e4)
+    exponents = draw(st.lists(st.integers(-60, 60), min_size=m, max_size=m))
+    return rows, rng.standard_normal(n), np.array(exponents)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(row_scaled_problems())
+def test_per_row_power_of_two_scaling_changes_nothing(tmp_path, problem):
+    """Both paths keep their status and direction when each row is scaled by
+    its own 2^k, and --check passes on the scaled rows."""
+    rows, b, exponents = problem
+    scaled = np.ldexp(rows, exponents[:, None])
+    objective = Objective(b)
+    for solve in (optimal_direction, oracle_direction):
+        base = solve(ConstraintSystem(rows), objective)
+        moved = solve(ConstraintSystem(scaled), objective)
+        assert moved.status is base.status
+        assert np.max(np.abs(moved.direction - base.direction)) <= 1e-12
+    path = tmp_path / "problem.json"
+    doc = {"n": rows.shape[1], "m": rows.shape[0], "A": scaled.tolist(), "B": b.tolist()}
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--input", str(path), "--check"]) == 0

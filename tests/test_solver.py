@@ -1,6 +1,7 @@
 """Direction solver unit and property tests."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,10 +16,16 @@ from helpers import (
 )
 from reference import brute_optimal_ray, null_space_axis, null_space_direction
 import wedgeopt.forms
+import wedgeopt.oracle
 import wedgeopt.solver
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.forms import basis_form, from_vector, hodge, wedge, _combos
-from wedgeopt.oracle import oracle_direction, orthonormalize, perpendicular_component
+from wedgeopt.oracle import (
+    oracle_direction,
+    orthonormalize,
+    perpendicular_component,
+    sample_feasible,
+)
 from wedgeopt.solver import (
     ConstraintSystem,
     Objective,
@@ -49,6 +56,18 @@ class TestConstraintSystem:
     def test_unconstrained_constructor(self):
         system = ConstraintSystem.unconstrained(4)
         assert system.m == 0 and system.n == 4
+        assert system.scaled.shape == (0, 4) and system.exponents.shape == (0,)
+
+    def test_rows_are_scaled_once_by_exact_powers_of_two(self):
+        rows = [[3.0, -1e200, 0.0], [0.0, 5e-300, 2.5e-300]]
+        system = ConstraintSystem(rows)
+        assert np.array_equal(np.ldexp(system.scaled, system.exponents[:, None]), rows)
+        peaks = np.abs(system.scaled).max(axis=1)
+        assert np.all((0.5 <= peaks) & (peaks < 1.0))
+        with pytest.raises(ValueError):
+            system.scaled[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            ConstraintSystem(rows, scaled=np.eye(3)[:2])
 
 
 class TestObjective:
@@ -59,6 +78,14 @@ class TestObjective:
     def test_rejects_bad_mode(self):
         with pytest.raises(DomainError):
             Objective([1.0, 0.0], "maximize")
+
+    def test_objective_is_scaled_once_by_a_power_of_two(self):
+        objective = Objective([1.7e308, -3.0, 0.0])
+        assert objective.shift == 1024
+        assert np.array_equal(np.ldexp(objective.scaled, 1000), np.ldexp(objective.b, -24))
+        assert 0.5 <= np.max(np.abs(objective.scaled)) < 1.0
+        with pytest.raises(ValueError):
+            objective.scaled[0] = 1.0
 
 
 class TestSolution:
@@ -608,6 +635,24 @@ class TestTripleProduct:
         with pytest.raises(DomainError):
             triple_product_direction([1, 0], [0, 1])
 
+    def test_across_the_float_range(self):
+        # the norm of the first input underflows and that of the second
+        # overflows, but the answer |a|^2 b = 1e-140 e2 is a double
+        out = triple_product_direction([1e-170, 0, 0], [0, 1e200, 0])
+        assert out[0] == out[2] == 0.0 and out[1] == pytest.approx(1e-140, rel=1e-15)
+        assert not triple_product_direction([1e-300, 0, 0], [-1e300, 0, 0]).any()
+        # |a|^2 b underflows or overflows: refused, not a zero vector that
+        # calls the inputs parallel, nor an overflow
+        for a in ([1e-200, 0, 0], [5e-324, 0, 0], [1e200, 0, 0]):
+            with pytest.raises(DomainError, match="not representable"):
+                triple_product_direction(a, [0, 1, 0])
+
+    def test_gaussian_draws_match_the_plain_formula(self):
+        rng = np.random.default_rng(42)
+        for _ in range(500):
+            a, b = rng.standard_normal(3), rng.standard_normal(3)
+            assert np.array_equal(triple_product_direction(a, b), np.cross(a, np.cross(b, a)))
+
     def test_agrees_with_general_solver(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
@@ -690,3 +735,49 @@ class TestIndependentOfOracle:
         assert solution.status is SolveStatus.DEGENERATE
         assert relative_residual(system.rows, solution.direction) <= 1e-10
         assert np.max(np.abs(solution.direction - null_space_axis(system.rows))) <= 1e-12
+
+
+class TestScaledOnce:
+    """Rows and objective are brought into the double range once, when
+    ConstraintSystem and Objective are built; no solve scales them again."""
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (5, 3)])  # fold (2m <= n) and det (2m > n)
+    def test_solves_read_the_stored_scaling(self, monkeypatch, n, m):
+        rng = np.random.default_rng(47)
+        system, objective = random_instance(rng, n, m)
+
+        def refuse(rows):
+            raise AssertionError("the rows were scaled again")
+
+        for module in (wedgeopt.solver, wedgeopt.oracle):
+            monkeypatch.setattr(module, "_power_of_two_scaled", refuse)
+        fast = optimal_direction(system, objective)
+        slow = oracle_direction(system, objective)
+        assert fast.status is slow.status is SolveStatus.OPTIMAL
+        assert float(fast.direction @ slow.direction) >= 1.0 - 1e-12
+        assert relative_residual(system.rows, degenerate_direction(system)) <= 1e-10
+        assert relative_residual(system.rows, sample_feasible(system, 3)) <= 1e-10
+
+
+class TestRankMargins:
+    """Each path's RankDeficientError names its margin against RANK_TOLERANCE."""
+
+    ROWS = [[1.0, 0.0, 0.0], [1.0, 1e-11, 0.0]]
+
+    @staticmethod
+    def margin(message):
+        return float(re.search(r"is (\S+), at most RANK_TOLERANCE = 1e-10$", message).group(1))
+
+    def test_solver_gives_the_smallest_singular_value_of_the_unit_rows(self):
+        with pytest.raises(RankDeficientError, match="^constraint rows are linearly dependent") as info:
+            optimal_direction(ConstraintSystem(self.ROWS), Objective([0.0, 0.0, 1.0]))
+        assert "the solver's smallest singular value of the unit rows" in str(info.value)
+        unit = np.array(self.ROWS) / np.linalg.norm(self.ROWS, axis=1)[:, None]
+        sigma = np.linalg.svd(unit, compute_uv=False)[-1]
+        assert self.margin(str(info.value)) == pytest.approx(sigma, rel=1e-3)
+
+    def test_oracle_gives_the_first_row_dropped_and_its_residual_over_its_norm(self):
+        with pytest.raises(RankDeficientError, match="^constraint rows are linearly dependent") as info:
+            oracle_direction(ConstraintSystem(self.ROWS), Objective([0.0, 0.0, 1.0]))
+        assert "the oracle's Gram-Schmidt residual of row 1 over its norm" in str(info.value)
+        assert self.margin(str(info.value)) == pytest.approx(1e-11, rel=1e-3)
