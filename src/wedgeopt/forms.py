@@ -53,6 +53,20 @@ _MAX_DIMENSION = 64
 _WORK_BUDGET = 4 * 2**30
 
 
+def _pascal(size: int) -> np.ndarray:
+    """Pascal table; entry [a, b] is C(a, b), zero when b > a."""
+    table = np.zeros((size, size), dtype=np.int64)
+    table[:, 0] = 1
+    for a in range(1, size):
+        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
+    table.flags.writeable = False
+    return table
+
+
+# One Pascal table serves every dimension: entry [a, b] is C(a, b) for a, b <= 64.
+_BINOMIALS = _pascal(_MAX_DIMENSION + 1)
+
+
 def _check_dimension(n: int) -> None:
     if not 1 <= n <= _MAX_DIMENSION:
         raise DomainError(f"ambient dimension must lie in [1, {_MAX_DIMENSION}], got {n}")
@@ -65,17 +79,6 @@ def _check_work(nbytes: int, what: str) -> None:
             f"{what} needs an estimated {nbytes / 2**30:.3g} GiB at its peak, "
             f"above the work budget of {_WORK_BUDGET / 2**30:g} GiB"
         )
-
-
-@lru_cache(maxsize=None)
-def _binomials(n: int) -> np.ndarray:
-    """Pascal table; entry [a, b] is C(a, b), zero when b > a."""
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for a in range(1, n + 1):
-        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
-    table.flags.writeable = False
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -138,17 +141,16 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     _check_work(16 * (k + 1) * math.comb(n, k + 1), f"the ({n}, {k}, 1) table")
     targets = _combos(n, k + 1).T
-    table = _binomials(n)
     below = n - 1 - np.arange(n)
     rank = np.empty(targets.shape, dtype=np.intp)
     running = np.full(targets.shape[1], math.comb(n, k) - 1, dtype=np.intp)
     for p in range(k + 1):
         rank[p] = running
-        running -= table[below, k - p][targets[p]]
+        running -= _BINOMIALS[below, k - p][targets[p]]
     running[:] = 0
     for p in range(k, -1, -1):
         rank[p] -= running
-        running += table[below, k + 1 - p][targets[p]]
+        running += _BINOMIALS[below, k + 1 - p][targets[p]]
     sign = np.where((k - np.arange(k + 1)) % 2 == 0, 1.0, -1.0)
     rank.flags.writeable = False
     sign.flags.writeable = False
@@ -170,7 +172,6 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
     _check_work(16 * math.comb(n, grade) * math.comb(grade, l), f"the ({n}, {k}, {l}) table")
     targets = _combos(n, grade).T
     splits = _combos(grade, l)
-    table = _binomials(n)
     below = n - 1 - np.arange(n)
     k_rank = np.broadcast_to(np.arange(targets.shape[1]), (splits.shape[0], targets.shape[1]))
     l_rank = np.zeros(k_rank.shape, dtype=np.intp)
@@ -180,8 +181,8 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
         _, rank, slot_sign = _grade1_table(n, grade - 1 - i)
         k_rank = rank[slot[:, None], k_rank]
         sign *= slot_sign[slot]
-        l_rank += table[n, i + 1] - table[n, i]
-        l_rank -= table[below, i + 1][targets[slot]]
+        l_rank += _BINOMIALS[n, i + 1] - _BINOMIALS[n, i]
+        l_rank -= _BINOMIALS[below, i + 1][targets[slot]]
     for arr in (k_rank, l_rank, sign):
         arr.flags.writeable = False
     return k_rank, l_rank, sign
@@ -257,11 +258,11 @@ def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def _clear_caches() -> None:
     """Drop every cached table, so the next operation builds its tables cold."""
-    for table in (_binomials, _combos, _grade1_table, _hodge_signs, _split_table):
+    for table in (_combos, _grade1_table, _hodge_signs, _split_table):
         table.cache_clear()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MultiIndex:
     """Strictly increasing 1-based index tuple labelling a basis k-form."""
 
@@ -284,14 +285,6 @@ class MultiIndex:
     @property
     def k(self) -> int:
         return len(self.indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        return self.n == other.n and self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.indices))
 
 
 def rank_multi_index(index: MultiIndex) -> int:
@@ -351,8 +344,14 @@ class KForm:
         object.__setattr__(self, "coeffs", coeffs)
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm of the coefficients, each divided by the exact power of two 2^e
+        of the largest and the norm scaled back by 2^e, so no square over- or underflows;
+        a norm past the largest double is refused."""
+        e = math.frexp(float(np.max(np.abs(self.coeffs))))[1]
+        norm = float(np.linalg.norm(np.ldexp(self.coeffs, -e)))
+        if math.frexp(norm)[1] + e > 1024:
+            raise DomainError(f"the form's norm is not representable: {norm!r} * 2**{e}")
+        return math.ldexp(norm, e)
 
 
 def zero_form(n: int, k: int) -> KForm:

@@ -1,9 +1,12 @@
 """Independent Gram-Schmidt projection path used to cross-check the solver.
 
 Orthonormalizes the constraint rows, removes their span from the objective
-vector and normalizes what is left.  On every nondegenerate instance the
-result must be parallel to the solver's null-space direction; the test suite
-and the CLI --check flag enforce that agreement.
+vector and normalizes what is left.  The oracle has its own rank test,
+projection, ray scale and degenerate direction; it hands them to the
+solver's `_solve`, which classifies, signs and values both paths alike.
+On every nondegenerate instance the result must be parallel to the solver's
+null-space direction; the test suite and the CLI --check flag enforce that
+agreement.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ from .solver import (
     ConstraintSystem,
     Objective,
     Solution,
-    SolveStatus,
-    _check_pair,
-    _degeneracy_coefficient,
     _power_of_two_scaled,
-    _scaled_ray,
-    _value,
+    _ray_value,
+    _solve,
 )
 
 __all__ = [
@@ -164,27 +164,20 @@ def oracle_direction(
 ) -> Solution:
     """Projection-based solve, independent of the wedge/contraction pipeline.
 
-    The raw field carries the product of squared Gram-Schmidt scales times
-    the projected objective, which reproduces the solver's unnormalized ray;
-    as in the solver, a raw that is not a finite, nonzero double is refused.
+    Its own rank test, Gram-Schmidt projection, ray scale and degenerate
+    axis (`_project`) feed the solver's `_solve`, which classifies, signs
+    and values the answer as for `optimal_direction`.  The raw field, the
+    product of squared Gram-Schmidt scales times the projected objective,
+    reproduces the solver's unnormalized ray.
     """
-    coeff = _degeneracy_coefficient(tolerance)
-    _check_pair(system, objective)
-    b, shift = objective.scaled, objective.shift
-    sigma = 1.0 if objective.mode == "max" else -1.0
-    if system.m == 0:
-        direction = sigma * b / math.hypot(*b.tolist())
-        value = _value(b @ direction, shift)
-        return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
+    return _solve(system, objective, tolerance, _project)
+
+
+def _project(system: ConstraintSystem, b: np.ndarray) -> tuple:
+    """The oracle's projection for `_solve`: b minus its Gram-Schmidt span part,
+    the ray scale from `_raw`, and the first free axis as the degenerate direction."""
     basis = _full_basis(system)
-    perp = perpendicular_component(b, basis)
-    raw = _raw(basis, perp, shift)
-    # hypot scales its arguments, so neither norm over- or underflows
-    perp_norm = math.hypot(*perp.tolist())
-    if perp_norm <= coeff * math.hypot(*b.tolist()):
-        return Solution(_first_free_axis(basis), raw, 0.0, SolveStatus.DEGENERATE)
-    direction = sigma * perp / perp_norm
-    return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
+    return perpendicular_component(b, basis), *_raw(basis), lambda: _first_free_axis(basis)
 
 
 def _first_free_axis(basis: OrthoBasis) -> np.ndarray:
@@ -197,11 +190,10 @@ def _first_free_axis(basis: OrthoBasis) -> np.ndarray:
     raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
 
 
-def _raw(basis: OrthoBasis, perp: np.ndarray, shift: int) -> np.ndarray:
-    """prod(scales^2) * perp * 2^shift, with the product, which may not be a double, as x * 2^e."""
+def _raw(basis: OrthoBasis) -> tuple[float, int]:
+    """The ray scale prod(scales^2), which may not be a double, as a mantissa and an exponent."""
     parts = [math.frexp(scale) for scale in basis.scales.tolist()]
-    product = math.prod(mantissa * mantissa for mantissa, _ in parts)
-    return _scaled_ray(product, shift + 2 * sum(e for _, e in parts), perp)
+    return math.prod(mantissa * mantissa for mantissa, _ in parts), 2 * sum(e for _, e in parts)
 
 
 def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
@@ -212,14 +204,7 @@ def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) 
     objective_value up to the shared sign convention; negative of the maximum
     for mode "min".
     """
-    if not t_star > 0:
-        raise DomainError(f"t_star must be positive, got {t_star}")
-    if system.m == 0:
-        raise DomainError("oracle_value needs at least one constraint row")
-    raw = oracle_direction(system, objective).raw
-    with np.errstate(over="ignore", invalid="ignore"):  # _value refuses a non-finite value
-        value = _value(float(t_star) * float(objective.b @ raw), 0)
-    return value if objective.mode == "max" else -value
+    return _ray_value(oracle_direction, "oracle_value", system, objective, t_star)
 
 
 def sample_feasible(system: ConstraintSystem, seed: int) -> np.ndarray:

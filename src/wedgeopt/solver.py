@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,22 +155,6 @@ class Solution:
         object.__setattr__(self, "status", SolveStatus(self.status))
 
 
-def _check_pair(system: ConstraintSystem, objective: Objective) -> None:
-    if objective.b.shape[0] != system.n:
-        raise DomainError(
-            f"objective has {objective.b.shape[0]} components "
-            f"but the system is {system.n}-dimensional"
-        )
-
-
-def _degeneracy_coefficient(tolerance: float | None) -> float:
-    """The degeneracy coefficient in force: DEGENERACY_TOLERANCE or a finite positive override."""
-    coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
-    if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
-        raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
-    return coeff
-
-
 def _solve_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak bytes of a cold solve of m >= 1 rows in R^n.
 
@@ -292,7 +276,7 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     onto the row span.  A is first divided by an exact power of two, 2^e,
     that brings its largest coefficient into [1/2, 1), so neither C C^T nor
     ||A||^2 over- or underflows; ||A||^2 is returned as s and 2e with
-    ||A||^2 = s * 2^(2e).
+    ||A||^2 = s * 2^(2e), the scale of the wedge path's ray in `_solve`.
     """
     peak = float(np.max(np.abs(constraint.coeffs)))
     if not 0.0 < peak < np.inf:
@@ -304,18 +288,6 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     rows = _interior_rows(coeffs, constraint.n, constraint.k)
     norm_sq = float(coeffs @ coeffs)
     return np.eye(constraint.n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
-
-
-def _ray(constraint: KForm, b: np.ndarray, shift: int) -> tuple[np.ndarray, ...]:
-    """For the objective b * 2^shift: the projector P, the null-space part P(P b)
-    of b, and the ray ||A_form||^2 P(P b) * 2^shift.
-
-    P is applied twice, as two matrix-vector products: one pass leaves
-    rounding of about eps ||b|| in the row span, the second removes it.
-    """
-    projector, norm_sq, exponent = _null_projector(constraint)
-    perp = projector @ (projector @ b)
-    return projector, perp, _scaled_ray(norm_sq, exponent + shift, perp)
 
 
 def _scaled_ray(norm_sq: float, exponent: int, perp: np.ndarray) -> np.ndarray:
@@ -339,6 +311,51 @@ def _value(x: float, shift: int) -> float:
     return math.ldexp(x, shift)
 
 
+def _solve(
+    system: ConstraintSystem, objective: Objective, tolerance: float | None, project: Callable
+) -> Solution:
+    """The solve both paths share, around the projection each supplies.
+
+    project(system, b) runs its path's rank test on a system with m >= 1 and
+    returns (perp, scale, exponent, free_direction): the null-space part of
+    b, the ray's scale as scale * 2^exponent, and a function giving the
+    path's degenerate direction.  Everything else is decided here, once.
+    """
+    coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
+    if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
+        raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
+    if objective.b.shape[0] != system.n:
+        raise DomainError(
+            f"objective has {objective.b.shape[0]} components "
+            f"but the system is {system.n}-dimensional"
+        )
+    b, shift = objective.scaled, objective.shift
+    sigma = 1.0 if objective.mode == "max" else -1.0
+    if system.m == 0:
+        direction = sigma * b / _norm(b)
+        value = _value(b @ direction, shift)
+        return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
+    perp, scale, exponent, free_direction = project(system, b)
+    raw = _scaled_ray(scale, exponent + shift, perp)
+    perp_norm = _norm(perp)
+    if perp_norm <= coeff * _norm(b):
+        return Solution(free_direction(), raw, 0.0, SolveStatus.DEGENERATE)
+    direction = perp / perp_norm
+    if float(b @ direction) < 0.0:
+        sigma = -sigma
+    direction *= sigma
+    return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
+
+
+def _project(system: ConstraintSystem, b: np.ndarray) -> tuple:
+    """The wedge path's part of `_solve`: P(P b), ||A_form||^2 as s * 2^(2e) and
+    `_first_free_ray`.  P is applied twice: one pass leaves rounding of about
+    eps ||b|| in the row span, the second removes it."""
+    projector, norm_sq, exponent = _null_projector(_full_rank_form(system))
+    perp = projector @ (projector @ b)
+    return perp, norm_sq, exponent, lambda: _first_free_ray(projector)
+
+
 def optimal_direction(
     system: ConstraintSystem,
     objective: Objective,
@@ -356,24 +373,24 @@ def optimal_direction(
     `tolerance` overrides the relative degeneracy coefficient
     (default DEGENERACY_TOLERANCE); it must be finite and positive.  b is
     used divided by a power of two, `objective.scaled`, so nothing overflows.
+    Only the rank test, the projection P(P b), the ray scale ||A_form||^2
+    and the degenerate direction are the wedge path's own (`_project`).
     """
-    coeff = _degeneracy_coefficient(tolerance)
-    _check_pair(system, objective)
-    b, shift = objective.scaled, objective.shift
-    sigma = 1.0 if objective.mode == "max" else -1.0
+    return _solve(system, objective, tolerance, _project)
+
+
+def _ray_value(
+    solve: Callable, name: str, system: ConstraintSystem, objective: Objective, t_star: float
+) -> float:
+    """t_star * (b . raw) of `solve`'s ray, negated for mode "min"; `name` is the caller's."""
+    if not t_star > 0:
+        raise DomainError(f"t_star must be positive, got {t_star}")
     if system.m == 0:
-        direction = sigma * b / _norm(b)
-        value = _value(b @ direction, shift)
-        return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
-    projector, perp, raw = _ray(_full_rank_form(system), b, shift)
-    perp_norm = _norm(perp)
-    if perp_norm <= coeff * _norm(b):
-        return Solution(_first_free_ray(projector), raw, 0.0, SolveStatus.DEGENERATE)
-    direction = perp / perp_norm
-    if float(b @ direction) < 0.0:
-        sigma = -sigma
-    direction *= sigma
-    return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
+        raise DomainError(f"{name} needs at least one constraint row")
+    raw = solve(system, objective).raw
+    with np.errstate(over="ignore", invalid="ignore"):  # _value refuses a non-finite value
+        value = _value(float(t_star) * float(objective.b @ raw), 0)
+    return value if objective.mode == "max" else -value
 
 
 def objective_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
@@ -383,14 +400,7 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
     For a single 3-d constraint row this equals
     t_star * (||a||^2 ||b||^2 - (a . b)^2).
     """
-    if not t_star > 0:
-        raise DomainError(f"t_star must be positive, got {t_star}")
-    if system.m == 0:
-        raise DomainError("objective_value needs at least one constraint row")
-    raw = optimal_direction(system, objective).raw
-    with np.errstate(over="ignore", invalid="ignore"):  # _value refuses a non-finite value
-        value = _value(float(t_star) * float(objective.b @ raw), 0)
-    return value if objective.mode == "max" else -value
+    return _ray_value(optimal_direction, "objective_value", system, objective, t_star)
 
 
 def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarray:

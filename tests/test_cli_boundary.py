@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from wedgeopt.cli import main
 
+CHECK_GATE = "oracle cross-check failed: (status|direction agreement|objective) "
+RANK_MARGIN = "; the (solver's smallest singular value|oracle's Gram-Schmidt residual) .* RANK_TOLERANCE"
 huge_integers = st.integers(300, 420).map(lambda digits: 10**digits) | st.just(-(2**1024))
 
 
@@ -74,6 +77,12 @@ def test_every_problem_file_ends_cleanly(tmp_path, problem):
     if code:
         error = json.loads(err.getvalue())
         assert list(error) == ["error"] and list(error["error"]) == ["type", "message"]
+        if code == 2:
+            # an exit 2 names what refused: a --check gate or one path's rank margin
+            kind, message = error["error"]["type"], error["error"]["message"]
+            assert re.match(CHECK_GATE, message) or (
+                kind == "RankDeficientError" and re.search(RANK_MARGIN, message)
+            ), message
         return
     assert err.getvalue() == ""
     if "json" in flags:

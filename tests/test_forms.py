@@ -69,7 +69,8 @@ class TestMultiIndex:
                     assert rank_multi_index(index) == position
                 for combo in itertools.combinations(range(1, n + 1), k):
                     index = MultiIndex(combo, n)
-                    assert unrank_multi_index(rank_multi_index(index), n, k) == index
+                    again = unrank_multi_index(rank_multi_index(index), n, k)
+                    assert again == index and hash(again) == hash(index)
 
     def test_lex_order(self):
         previous = None
@@ -119,6 +120,21 @@ class TestKForm:
         form = from_vector([1.0, 2.0])
         with pytest.raises(ValueError):
             form.coeffs[0] = 5.0
+
+    def test_norm_across_the_float_range(self):
+        # the plain norm underflows to 0 on the first and overflows to inf on the second
+        assert KForm(3, 1, [3e-170, 4e-170, 0]).norm() == 5e-170
+        assert KForm(3, 1, [1e200, 0, 0]).norm() == 1e200
+        assert zero_form(4, 2).norm() == 0.0
+        with pytest.raises(DomainError, match="norm is not representable"):
+            KForm(2, 1, [1.5e308, 1.5e308]).norm()
+
+    def test_norm_is_the_plain_norm_in_range(self):
+        rng = np.random.default_rng(18)
+        for size in (1, 3, 10, 35):
+            coeffs = rng.standard_normal(size) * 10.0 ** rng.integers(-100, 100, size)
+            form = KForm(size, 1, coeffs)
+            assert form.norm() == float(np.linalg.norm(coeffs))
 
     def test_dense_reconstruction_agrees_on_sorted_indices(self):
         from reference import dense_tensor, sorted_coeffs

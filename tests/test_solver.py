@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     allocates_nothing,
     random_instance,
+    random_objective,
     random_system,
     relative_residual,
     span_combination,
@@ -22,6 +23,7 @@ from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.forms import basis_form, from_vector, hodge, wedge, _combos
 from wedgeopt.oracle import (
     oracle_direction,
+    oracle_value,
     orthonormalize,
     perpendicular_component,
     sample_feasible,
@@ -735,6 +737,63 @@ class TestIndependentOfOracle:
         assert solution.status is SolveStatus.DEGENERATE
         assert relative_residual(system.rows, solution.direction) <= 1e-10
         assert np.max(np.abs(solution.direction - null_space_axis(system.rows))) <= 1e-12
+
+
+class TestPathsRunAlone:
+    """Each path's rank test, projection, ray scale and degenerate direction run
+    with the other path's patched to raise; only the shared driver is common."""
+
+    @staticmethod
+    def instances():
+        """A fold shape (2m <= n), a det shape (2m > n), a degenerate and an
+        unconstrained instance, each with its expected status."""
+        rng = np.random.default_rng(48)
+        system = random_system(rng, 6, 3)
+        spanned = Objective(span_combination(rng, system.rows), "min")
+        return [
+            (*random_instance(rng, 6, 3), SolveStatus.OPTIMAL),
+            (*random_instance(rng, 6, 5, "min"), SolveStatus.OPTIMAL),
+            (system, spanned, SolveStatus.DEGENERATE),
+            (random_system(rng, 6, 0), random_objective(rng, 6), SolveStatus.UNCONSTRAINED),
+        ]
+
+    @staticmethod
+    def refuse_all(monkeypatch, module, names):
+        def refuse(*args):
+            raise AssertionError(f"a {module.__name__} step ran in the other path")
+
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+
+    @staticmethod
+    def check(system, objective, status, solution, value, feasible):
+        assert solution.status is status
+        if status is SolveStatus.DEGENERATE:
+            expected = null_space_axis(system.rows)
+        else:
+            sign = 1.0 if objective.mode == "max" else -1.0
+            expected = null_space_direction(system.rows, objective.b) if system.m else objective.b
+            expected = sign * expected / np.linalg.norm(expected)
+        assert np.max(np.abs(solution.direction - expected)) <= 1e-12
+        if system.m:
+            ray_value = float(objective.b @ solution.raw)
+            assert value == pytest.approx(ray_value if objective.mode == "max" else -ray_value)
+        assert relative_residual(system.rows, feasible) <= 1e-10
+
+    def test_solver_runs_without_the_oracle(self, monkeypatch):
+        self.refuse_all(monkeypatch, wedgeopt.oracle, ["_gram_schmidt", "perpendicular_component"])
+        for system, objective, status in self.instances():
+            value = objective_value(system, objective, 1.0) if system.m else None
+            solution = optimal_direction(system, objective)
+            self.check(system, objective, status, solution, value, degenerate_direction(system))
+
+    def test_oracle_runs_without_the_solver(self, monkeypatch):
+        names = ["_sigma_min", "_null_projector", "constraint_form", "_first_free_ray"]
+        self.refuse_all(monkeypatch, wedgeopt.solver, names)
+        for system, objective, status in self.instances():
+            value = oracle_value(system, objective, 1.0) if system.m else None
+            solution = oracle_direction(system, objective)
+            self.check(system, objective, status, solution, value, sample_feasible(system, 5))
 
 
 class TestScaledOnce:
