@@ -10,11 +10,12 @@ threads.
 
 Every product and contraction runs on one cached split table: for every
 grade-(k+l) index and every split of its slots, the ranks of the two parts
-and the sign.  Only the grade-1 tables are built directly; every other
-split table is composed from them.  A solve of m rows uses the grade-1
-tables up to grade m only: the (k, 1) ones for k < m to fold the rows into
-an m-form, and the (m-1, 1) one to lay out the contractions of that form by
-each basis vector as the rows of one n x C(n, m-1) array.
+and the sign.  Only the grade-1 tables are built directly, each below
+grade n/2 by block copies of the one a grade down; every other split table
+is composed from them.  A solve of m rows uses the grade-1 tables up to
+grade m only: the (k, 1) ones for k < m to fold the rows into an m-form,
+and the (m-1, 1) one to lay out the contractions of that form by each basis
+vector as the rows of one n x C(n, m-1) array.
 """
 
 from __future__ import annotations
@@ -81,14 +82,28 @@ def _check_work(nbytes: int, what: str) -> None:
         )
 
 
+def _blocks(n: int, k: int):
+    """(i, block, tail) for each first element i of a grade-k index below n, k >= 1.
+
+    In lex order the k-tuples that start with i fill rows `block` of
+    _combos(n, k), and they are i followed by the (k-1)-tuples whose
+    smallest element is above i: rows tail: of _combos(n, k-1).
+    """
+    size, below = math.comb(n, k), math.comb(n, k - 1)
+    for i in range(n - k + 1):
+        start, stop = size - math.comb(n - i, k), size - math.comb(n - 1 - i, k)
+        yield i, slice(start, stop), below - math.comb(n - 1 - i, k - 1)
+
+
 @lru_cache(maxsize=None)
 def _combos(n: int, k: int) -> np.ndarray:
     """All strictly increasing 0-based k-tuples below n, lex order, one per row.
 
     Column-major, so `.T` is a contiguous slot-major view.  Grades up to n/2
-    extend each (k-1)-tuple by every larger index; higher grades are the
-    complements of grade n-k in reverse order, so the recursion never passes
-    through grade n/2 on its way to a grade near n.
+    are block copies of the grade below (see `_blocks`): a column of first
+    elements, and beside it a tail of the (k-1)-tuples.  Higher grades are
+    the complements of grade n-k in reverse order, so the recursion never
+    passes through grade n/2 on its way to a grade near n.
     """
     if k == 0:
         out = np.zeros((1, 0), dtype=np.intp, order="F")
@@ -99,13 +114,10 @@ def _combos(n: int, k: int) -> np.ndarray:
         out = np.asfortranarray(np.nonzero(keep[::-1])[1].reshape(-1, k))
     else:
         prev = _combos(n, k - 1)
-        starts = prev[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
-        counts = n - starts
-        out = np.empty((int(counts.sum()), k), dtype=np.intp, order="F")
-        for j in range(k - 1):
-            out[:, j] = np.repeat(prev[:, j], counts)
-        firsts = np.repeat(np.cumsum(counts) - counts, counts)
-        out[:, -1] = np.repeat(starts, counts) + np.arange(out.shape[0]) - firsts
+        out = np.empty((math.comb(n, k), k), dtype=np.intp, order="F")
+        for i, block, tail in _blocks(n, k):
+            out[block, 0] = i
+            out[block, 1:] = prev[tail:]
     out.flags.writeable = False
     return out
 
@@ -134,23 +146,43 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Column T is a grade-(k+1) target index and row p one of its slots:
     targets[p] is T_p, the 1-form's index; rank[p] is the lex rank of T
-    without T_p, the k-form's index, namely
+    without T_p, the k-form's index; sign[p] is (-1)^(k-p), the parity of
+    moving T_p past the k - p slots after it.
+
+    When 1 <= k < n/2 the ranks are block copies of the (k-1, 1) table,
+    which is built first, so the work check counts the whole chain.  Over
+    the targets (i, S) of one block (see `_blocks`), S running over a tail
+    of the grade-k indices, rank[0] is the rank of S, an arange over that
+    tail; rank[1:] is the (k-1, 1) table's rank over the same tail, moved
+    from the (k-1)-tuples above i to the k-tuples that start with i.
+    Grades from n/2 up, reached only by the determinant path, take
     C(n,k) - 1 - sum_{j<p} C(n-1-T_j, k-j) - sum_{j>p} C(n-1-T_j, k+1-j),
-    one prefix and one suffix sum over the slots; sign[p] is (-1)^(k-p),
-    the parity of moving T_p past the k - p slots after it.
+    one prefix and one suffix sum over the slots, so that path builds no
+    table of a grade above its own.
     """
-    _check_work(16 * (k + 1) * math.comb(n, k + 1), f"the ({n}, {k}, 1) table")
-    targets = _combos(n, k + 1).T
-    below = n - 1 - np.arange(n)
-    rank = np.empty(targets.shape, dtype=np.intp)
-    running = np.full(targets.shape[1], math.comb(n, k) - 1, dtype=np.intp)
-    for p in range(k + 1):
-        rank[p] = running
-        running -= _BINOMIALS[below, k - p][targets[p]]
-    running[:] = 0
-    for p in range(k, -1, -1):
-        rank[p] -= running
-        running += _BINOMIALS[below, k + 1 - p][targets[p]]
+    if k and 2 * k < n:
+        chain = sum(16 * (j + 1) * math.comb(n, j + 1) for j in range(k + 1))
+        _check_work(chain, f"the ({n}, {k}, 1) table and the grade-1 tables below it")
+        _, lower, _ = _grade1_table(n, k - 1)
+        targets = _combos(n, k + 1).T
+        rank = np.empty(targets.shape, dtype=np.intp)
+        # (i, R), R a (k-1)-tuple at `lower_tail` + j, is the k-tuple at `home.start` + j
+        for (_, block, tail), (_, home, lower_tail) in zip(_blocks(n, k + 1), _blocks(n, k)):
+            rank[0, block] = np.arange(tail, math.comb(n, k))
+            np.add(lower[:, tail:], home.start - lower_tail, out=rank[1:, block])
+    else:
+        _check_work(16 * (k + 1) * math.comb(n, k + 1), f"the ({n}, {k}, 1) table")
+        targets = _combos(n, k + 1).T
+        below = n - 1 - np.arange(n)
+        rank = np.empty(targets.shape, dtype=np.intp)
+        running = np.full(targets.shape[1], math.comb(n, k) - 1, dtype=np.intp)
+        for p in range(k + 1):
+            rank[p] = running
+            running -= _BINOMIALS[below, k - p][targets[p]]
+        running[:] = 0
+        for p in range(k, -1, -1):
+            rank[p] -= running
+            running += _BINOMIALS[below, k + 1 - p][targets[p]]
     sign = np.where((k - np.arange(k + 1)) % 2 == 0, 1.0, -1.0)
     rank.flags.writeable = False
     sign.flags.writeable = False

@@ -173,11 +173,16 @@ def oracle_direction(
     return _solve(system, objective, tolerance, _project)
 
 
+# The oracle's ray, the solver's ||A_form||^2 * b_perp computed another way.
+_RAY = "(product of squared Gram-Schmidt scales) * b_perp"
+
+
 def _project(system: ConstraintSystem, b: np.ndarray) -> tuple:
     """The oracle's projection for `_solve`: b minus its Gram-Schmidt span part,
-    the ray scale from `_raw`, and the first free axis as the degenerate direction."""
+    the ray scale from `_raw` and its name, and the first free axis as the
+    degenerate direction."""
     basis = _full_basis(system)
-    return perpendicular_component(b, basis), *_raw(basis), lambda: _first_free_axis(basis)
+    return perpendicular_component(b, basis), *_raw(basis), _RAY, lambda: _first_free_axis(basis)
 
 
 def _first_free_axis(basis: OrthoBasis) -> np.ndarray:

@@ -290,14 +290,14 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     return np.eye(constraint.n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
 
 
-def _scaled_ray(norm_sq: float, exponent: int, perp: np.ndarray) -> np.ndarray:
-    """The ray norm_sq * 2^exponent * perp, refused when it over- or underflows."""
+def _scaled_ray(norm_sq: float, exponent: int, perp: np.ndarray, ray: str) -> np.ndarray:
+    """The ray norm_sq * 2^exponent * perp, refused, as `ray`, when it over- or underflows."""
     with np.errstate(over="ignore"):  # an overflow is reported below
         raw = np.ldexp(norm_sq * perp, exponent)
     peak = max(map(abs, raw.tolist()))
     if not peak < math.inf or (not peak and perp.any()):
         raise DomainError(
-            f"the unnormalized ray ||A_form||^2 * b_perp is not representable: "
+            f"the unnormalized ray {ray} is not representable: "
             f"its scale is {norm_sq!r} * 2**{exponent}"
         )
     return raw
@@ -317,9 +317,10 @@ def _solve(
     """The solve both paths share, around the projection each supplies.
 
     project(system, b) runs its path's rank test on a system with m >= 1 and
-    returns (perp, scale, exponent, free_direction): the null-space part of
-    b, the ray's scale as scale * 2^exponent, and a function giving the
-    path's degenerate direction.  Everything else is decided here, once.
+    returns (perp, scale, exponent, ray, free_direction): the null-space
+    part of b, the ray's scale as scale * 2^exponent, the ray's name for an
+    error, and a function giving the path's degenerate direction.
+    Everything else is decided here, once.
     """
     coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
@@ -335,8 +336,8 @@ def _solve(
         direction = sigma * b / _norm(b)
         value = _value(b @ direction, shift)
         return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
-    perp, scale, exponent, free_direction = project(system, b)
-    raw = _scaled_ray(scale, exponent + shift, perp)
+    perp, scale, exponent, ray, free_direction = project(system, b)
+    raw = _scaled_ray(scale, exponent + shift, perp, ray)
     perp_norm = _norm(perp)
     if perp_norm <= coeff * _norm(b):
         return Solution(free_direction(), raw, 0.0, SolveStatus.DEGENERATE)
@@ -347,13 +348,17 @@ def _solve(
     return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
 
 
+# The wedge path's ray; for one row a, A_form is a and this is |a|^2 b_perp.
+_RAY = "||A_form||^2 * b_perp"
+
+
 def _project(system: ConstraintSystem, b: np.ndarray) -> tuple:
-    """The wedge path's part of `_solve`: P(P b), ||A_form||^2 as s * 2^(2e) and
-    `_first_free_ray`.  P is applied twice: one pass leaves rounding of about
-    eps ||b|| in the row span, the second removes it."""
+    """The wedge path's part of `_solve`: P(P b), ||A_form||^2 as s * 2^(2e), the
+    ray's name and `_first_free_ray`.  P is applied twice: one pass leaves
+    rounding of about eps ||b|| in the row span, the second removes it."""
     projector, norm_sq, exponent = _null_projector(_full_rank_form(system))
     perp = projector @ (projector @ b)
-    return perp, norm_sq, exponent, lambda: _first_free_ray(projector)
+    return perp, norm_sq, exponent, _RAY, lambda: _first_free_ray(projector)
 
 
 def optimal_direction(
@@ -420,7 +425,7 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     if not (a.any() and b.any()):
         raise DomainError("inputs must be nonzero vectors")
     (a, b), (ea, eb) = _power_of_two_scaled(np.array([a, b]))
-    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)))
+    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)), _RAY)
 
 
 def _first_free_ray(projector: np.ndarray) -> np.ndarray:

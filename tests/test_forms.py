@@ -323,10 +323,37 @@ class TestSplitTable:
                     assert np.array_equal(rows[i], expected)
 
     def test_combos_match_itertools(self):
-        for n in range(1, 13):
+        for n in range(1, 15):
             for k in range(0, n + 1):
                 expected = list(itertools.combinations(range(n), k))
-                assert [tuple(row) for row in forms._combos(n, k).tolist()] == expected
+                combos = forms._combos(n, k)
+                assert combos.flags.f_contiguous
+                assert [tuple(row) for row in combos.tolist()] == expected
+
+    def test_grade_one_ranks_drop_one_slot(self):
+        for n in range(1, 13):
+            forms._clear_caches()
+            # highest grade first, so each table below is built cold by the chain
+            for k in range(n - 1, -1, -1):
+                targets, rank, sign = forms._grade1_table(n, k)
+                assert np.array_equal(targets, forms._combos(n, k + 1).T)
+                for table in (targets, rank, sign):
+                    assert table.flags.c_contiguous
+                assert rank.dtype == np.intp and rank.shape == targets.shape
+                for c, target in enumerate(targets.T.tolist()):
+                    for p in range(k + 1):
+                        rest = MultiIndex(tuple(t + 1 for t in target[:p] + target[p + 1 :]), n)
+                        assert rank[p, c] == rank_multi_index(rest)
+
+    def test_grade_one_chain_over_a_small_budget_refused(self, monkeypatch):
+        # the (14, 6, 1) table holds 16 * 7 * C(14, 7) = 384,384 bytes, under the
+        # budget, but its chain from grade 0 holds 917,504
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 500_000)
+        forms._clear_caches()
+        form = KForm(14, 6, np.ones(math.comb(14, 6)))
+        with pytest.raises(DomainError, match="grade-1 tables below it"):
+            wedge(form, from_vector(np.ones(14)))
+        assert forms._grade1_table.cache_info().currsize == 0
 
 
 class TestHodge:

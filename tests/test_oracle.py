@@ -268,6 +268,24 @@ class TestOracleScaleRobustness:
             with pytest.raises(DomainError, match="not representable"):
                 solve(ConstraintSystem.unconstrained(2), Objective([1.7e308, 1e308]))
 
+    def test_each_path_names_its_own_ray_when_refused(self):
+        # both rays are about 2^1125 times b_perp: each path names its own scale
+        rng = np.random.default_rng(0)
+        system = ConstraintSystem(np.ldexp(rng.standard_normal((3, 6)), 20))
+        objective = Objective(np.ldexp(rng.standard_normal(6), 1000))
+        with pytest.raises(DomainError) as fast:
+            optimal_direction(system, objective)
+        with pytest.raises(DomainError) as slow:
+            oracle_direction(system, objective)
+        assert str(fast.value) == (
+            "the unnormalized ray ||A_form||^2 * b_perp is not representable: "
+            "its scale is 1.7942005933422212 * 2**1125"
+        )
+        assert str(slow.value) == (
+            "the unnormalized ray (product of squared Gram-Schmidt scales) * b_perp "
+            "is not representable: its scale is 0.11213753708388874 * 2**1129"
+        )
+
     def test_scale_past_the_double_range_refused(self):
         # the first row norm is about 2.1 * 2^1023: finite entries, no finite scale
         rows = np.ldexp([[1.5, 1.5, 0.0], [0.0, 1.5, 1.5]], 1023)
