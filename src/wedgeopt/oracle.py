@@ -1,12 +1,13 @@
 """Independent Gram-Schmidt projection path used to cross-check the solver.
 
 Orthonormalizes the constraint rows, removes their span from the objective
-vector and normalizes what is left.  The oracle has its own rank test,
-projection, ray scale and degenerate direction; it hands them to the
-solver's `_solve`, which classifies, signs and values both paths alike.
-On every nondegenerate instance the result must be parallel to the solver's
-null-space direction; the test suite and the CLI --check flag enforce that
-agreement.
+vector and normalizes what is left.  The oracle supplies its own rank test,
+projection map and ray scale (`_project`), all from the plain arrays of
+`_gram_schmidt`; the solver's `_solve` does the rest for both paths alike:
+the unconstrained case, the degenerate direction, classification, sign and
+value.  On every nondegenerate instance the result must be parallel to the
+solver's null-space direction; the test suite and the CLI --check flag
+enforce that agreement.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .solver import (
     Objective,
     Solution,
     _power_of_two_scaled,
+    _projection,
     _ray_value,
     _solve,
 )
@@ -83,17 +85,16 @@ class OrthoBasis:
         return self.vectors.shape[1]
 
 
-def _gram_schmidt(
-    scaled: np.ndarray, exponents: np.ndarray
-) -> tuple[OrthoBasis, list[tuple[int, float]]]:
+def _gram_schmidt(scaled: np.ndarray) -> tuple[np.ndarray, list, list, list]:
     """Modified Gram-Schmidt with one re-orthogonalization pass per row.
 
     Takes the rows as `_power_of_two_scaled` gives them, each row divided by
-    2^e.  Returns the orthonormal images of the kept rows with the norms
-    removed from each, scaled back by 2^e, and, for each row dropped, its
-    index and its residual over its norm.  A row is dropped when its
-    residual is at most RANK_TOLERANCE times its own norm, a rule that no
-    per-row rescaling changes.
+    2^e, and returns plain arrays: the unit vectors of the kept rows, as the
+    rows of a matrix, their residual norms at that scale, the kept indices
+    and, for each row dropped, its index and its residual over its norm.
+    A row is dropped when its residual is at most RANK_TOLERANCE times its
+    own norm, a rule that no per-row rescaling changes.  No scale 2^e times
+    a residual is formed, so none has to be a double.
     """
     kept, vectors, residuals, dropped = [], [], [], []
     for i, row in enumerate(scaled):
@@ -109,37 +110,33 @@ def _gram_schmidt(
             residuals.append(residual)
         else:
             dropped.append((i, residual / norm if norm else 0.0))
-    # a scale outside the double range is refused by OrthoBasis
-    with np.errstate(over="ignore"):
-        scales = np.ldexp(residuals, exponents[kept])
-    vectors = np.reshape(vectors, (len(kept), scaled.shape[1]))
-    return OrthoBasis(vectors, scales, len(kept)), dropped
+    return np.reshape(vectors, (len(kept), scaled.shape[1])), residuals, kept, dropped
 
 
 def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
     """Orthonormal basis of the rows' span, from _gram_schmidt.
 
-    A dependent input shows up as rank < m rather than as an error.
+    A dependent input shows up as rank < m rather than as an error; a scale
+    that is not a positive double is refused by OrthoBasis.
     """
     matrix = np.array(rows, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise DomainError("orthonormalize expects at least one row vector")
     if not np.all(np.isfinite(matrix)):
         raise DomainError("rows must have finite entries")
-    return _gram_schmidt(*_power_of_two_scaled(matrix))[0]
+    scaled, exponents = _power_of_two_scaled(matrix)
+    vectors, residuals, kept, _ = _gram_schmidt(scaled)
+    with np.errstate(over="ignore"):
+        scales = np.ldexp(residuals, exponents[kept])
+    return OrthoBasis(vectors, scales, len(kept))
 
 
-def _full_basis(system: ConstraintSystem) -> OrthoBasis:
-    """Gram-Schmidt basis of a system with m >= 1, after the oracle's rank test."""
-    basis, dropped = _gram_schmidt(system.scaled, system.exponents)
-    if dropped:
-        i, ratio = dropped[0]
-        raise RankDeficientError(
-            "constraint rows are linearly dependent; drop dependent rows "
-            "(for the CLI: --reduce-rows) and retry; the oracle's Gram-Schmidt residual "
-            f"of row {i} over its norm is {ratio!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
-        )
-    return basis
+def _remove_span(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x, or each column of x, minus its part in the span of the orthonormal
+    rows of `vectors`.  Two passes keep what is left in the span at rounding level."""
+    for _ in range(2):
+        x = x - vectors.T @ (vectors @ x)
+    return x
 
 
 def perpendicular_component(b: Sequence[float], basis: OrthoBasis) -> np.ndarray:
@@ -149,12 +146,7 @@ def perpendicular_component(b: Sequence[float], basis: OrthoBasis) -> np.ndarray
         raise DomainError(f"expected a vector of length {basis.n}")
     if not np.all(np.isfinite(vec)):
         raise DomainError("vector entries must be finite")
-    if basis.rank == 0:
-        return vec
-    # Two projection passes keep the residual alignment down at rounding level.
-    vec -= basis.vectors.T @ (basis.vectors @ vec)
-    vec -= basis.vectors.T @ (basis.vectors @ vec)
-    return vec
+    return _remove_span(basis.vectors, vec)
 
 
 def oracle_direction(
@@ -164,9 +156,10 @@ def oracle_direction(
 ) -> Solution:
     """Projection-based solve, independent of the wedge/contraction pipeline.
 
-    Its own rank test, Gram-Schmidt projection, ray scale and degenerate
-    axis (`_project`) feed the solver's `_solve`, which classifies, signs
-    and values the answer as for `optimal_direction`.  The raw field, the
+    Its own rank test, Gram-Schmidt projection map and ray scale
+    (`_project`) feed the solver's `_solve`, which handles m = 0, picks the
+    degenerate direction by the shared rule, and classifies, signs and
+    values the answer as for `optimal_direction`.  The raw field, the
     product of squared Gram-Schmidt scales times the projected objective,
     reproduces the solver's unnormalized ray.
     """
@@ -177,28 +170,22 @@ def oracle_direction(
 _RAY = "(product of squared Gram-Schmidt scales) * b_perp"
 
 
-def _project(system: ConstraintSystem, b: np.ndarray) -> tuple:
-    """The oracle's projection for `_solve`: b minus its Gram-Schmidt span part,
-    the ray scale from `_raw` and its name, and the first free axis as the
-    degenerate direction."""
-    basis = _full_basis(system)
-    return perpendicular_component(b, basis), *_raw(basis), _RAY, lambda: _first_free_axis(basis)
-
-
-def _first_free_axis(basis: OrthoBasis) -> np.ndarray:
-    """First coordinate axis with a non-negligible null-space part, projected and normalized."""
-    for axis in np.eye(basis.n):
-        v = perpendicular_component(axis, basis)
-        length = float(np.linalg.norm(v))
-        if length > 1e-4:
-            return v / length
-    raise AssertionError("unreachable: a full-rank system with m < n leaves a free axis")
-
-
-def _raw(basis: OrthoBasis) -> tuple[float, int]:
-    """The ray scale prod(scales^2), which may not be a double, as a mantissa and an exponent."""
-    parts = [math.frexp(scale) for scale in basis.scales.tolist()]
-    return math.prod(mantissa * mantissa for mantissa, _ in parts), 2 * sum(e for _, e in parts)
+def _project(system: ConstraintSystem) -> tuple:
+    """The oracle's part of `_solve`: its rank test, the map x -> x minus its
+    Gram-Schmidt span part, and the ray scale prod(residual^2) * 2^(2 sum e),
+    which need not be a double, as a mantissa and an exponent."""
+    vectors, residuals, _, dropped = _gram_schmidt(system.scaled)
+    if dropped:
+        i, ratio = dropped[0]
+        raise RankDeficientError(
+            "constraint rows are linearly dependent; drop dependent rows "
+            "(for the CLI: --reduce-rows) and retry; the oracle's Gram-Schmidt residual "
+            f"of row {i} over its norm is {ratio!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
+        )
+    parts = [math.frexp(residual) for residual in residuals]
+    scale = math.prod(mantissa * mantissa for mantissa, _ in parts)
+    exponent = 2 * (sum(e for _, e in parts) + sum(system.exponents.tolist()))
+    return lambda x: _remove_span(vectors, x), scale, exponent, _RAY
 
 
 def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
@@ -213,16 +200,16 @@ def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) 
 
 
 def sample_feasible(system: ConstraintSystem, seed: int) -> np.ndarray:
-    """Deterministic unit null-space sample: seeded Gaussian draw, projected.
+    """Deterministic unit null-space sample: a seeded Gaussian draw through
+    the oracle's projection map (the identity when m = 0), normalized.
 
     Two calls with equal seeds return identical vectors; across seeds the
     samples cover the whole feasible unit sphere.
     """
-    basis = _full_basis(system) if system.m else OrthoBasis.empty(system.n)
+    apply = _projection(system, _project)[0]
     rng = np.random.default_rng(seed)
     while True:
-        vec = perpendicular_component(rng.standard_normal(system.n), basis)
+        vec = apply(rng.standard_normal(system.n))
         length = float(np.linalg.norm(vec))
         if length > 1e-8:
             return vec / length
-

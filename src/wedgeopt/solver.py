@@ -222,13 +222,16 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
 
     A row is kept when the smallest singular value of the kept rows plus
     this one, each scaled to unit norm, is above RANK_TOLERANCE; zero rows
-    are never kept.  Real or complex rows, so the CLI prunes both kinds of
-    problem by the rule the solve applies.  When all rows pass together,
-    every subset passes too (Cauchy interlacing), so one SVD settles it.
+    are never kept, and a non-finite entry is refused.  Real or complex
+    rows, so the CLI prunes both kinds of problem by the rule the solve
+    applies.  When all rows pass together, every subset passes too (Cauchy
+    interlacing), so one SVD settles it.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise DomainError("expected a 2-d row matrix")
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("rows must have finite entries")
     rows = _power_of_two_scaled(rows)[0]
     nonzero = rows.any(axis=1)
 
@@ -311,16 +314,41 @@ def _value(x: float, shift: int) -> float:
     return math.ldexp(x, shift)
 
 
+def _projection(system: ConstraintSystem, project: Callable) -> tuple:
+    """project(system), which runs its path's rank test, or for m = 0 the
+    identity map at unit scale."""
+    return project(system) if system.m else (lambda x: x, 1.0, 0, None)
+
+
+def _free_direction(apply: Callable, n: int) -> np.ndarray:
+    """The degenerate direction of a projection map: the first column of
+    apply(I), the null-space part of an axis, longer than 1e-4, normalized.
+
+    A projector of rank n - m >= 1 has some column at least 1/sqrt(n) long,
+    so the error below needs a map that rounding has ruined.
+    """
+    columns = apply(np.eye(n))
+    lengths = np.linalg.norm(columns, axis=0)
+    free = np.flatnonzero(lengths > 1e-4)
+    if not free.size:
+        largest = float(lengths.max())
+        raise DomainError(
+            f"no coordinate axis has a null-space part above 1e-4; the largest is {largest!r}"
+        )
+    return columns[:, free[0]] / lengths[free[0]]
+
+
 def _solve(
     system: ConstraintSystem, objective: Objective, tolerance: float | None, project: Callable
 ) -> Solution:
-    """The solve both paths share, around the projection each supplies.
+    """The solve both paths share, around the projection map each supplies.
 
-    project(system, b) runs its path's rank test on a system with m >= 1 and
-    returns (perp, scale, exponent, ray, free_direction): the null-space
-    part of b, the ray's scale as scale * 2^exponent, the ray's name for an
-    error, and a function giving the path's degenerate direction.
-    Everything else is decided here, once.
+    project(system) runs its path's rank test on a system with m >= 1 and
+    returns (apply, scale, exponent, ray): the map taking a vector, or each
+    column of a matrix, to its null-space part, the ray's scale as
+    scale * 2^exponent, and the ray's name for an error.  Everything else is
+    decided here, once: m = 0 runs through the identity map with status
+    unconstrained, and a degenerate solve takes `_free_direction` of the map.
     """
     coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
@@ -331,34 +359,32 @@ def _solve(
             f"but the system is {system.n}-dimensional"
         )
     b, shift = objective.scaled, objective.shift
-    sigma = 1.0 if objective.mode == "max" else -1.0
-    if system.m == 0:
-        direction = sigma * b / _norm(b)
-        value = _value(b @ direction, shift)
-        return Solution(direction, objective.b, value, SolveStatus.UNCONSTRAINED)
-    perp, scale, exponent, ray, free_direction = project(system, b)
-    raw = _scaled_ray(scale, exponent + shift, perp, ray)
+    apply, scale, exponent, ray = _projection(system, project)
+    perp = apply(b)
+    # the unconstrained ray is b itself, kept exact where b / 2^shift is subnormal
+    raw = _scaled_ray(scale, exponent + shift, perp, ray) if system.m else objective.b
     perp_norm = _norm(perp)
-    if perp_norm <= coeff * _norm(b):
-        return Solution(free_direction(), raw, 0.0, SolveStatus.DEGENERATE)
+    if system.m and perp_norm <= coeff * _norm(b):
+        return Solution(_free_direction(apply, system.n), raw, 0.0, SolveStatus.DEGENERATE)
     direction = perp / perp_norm
+    sigma = 1.0 if objective.mode == "max" else -1.0
     if float(b @ direction) < 0.0:
         sigma = -sigma
     direction *= sigma
-    return Solution(direction, raw, _value(b @ direction, shift), SolveStatus.OPTIMAL)
+    status = SolveStatus.OPTIMAL if system.m else SolveStatus.UNCONSTRAINED
+    return Solution(direction, raw, _value(b @ direction, shift), status)
 
 
 # The wedge path's ray; for one row a, A_form is a and this is |a|^2 b_perp.
 _RAY = "||A_form||^2 * b_perp"
 
 
-def _project(system: ConstraintSystem, b: np.ndarray) -> tuple:
-    """The wedge path's part of `_solve`: P(P b), ||A_form||^2 as s * 2^(2e), the
-    ray's name and `_first_free_ray`.  P is applied twice: one pass leaves
-    rounding of about eps ||b|| in the row span, the second removes it."""
+def _project(system: ConstraintSystem) -> tuple:
+    """The wedge path's part of `_solve`: the map x -> P(P x), ||A_form||^2 as
+    s * 2^(2e) and the ray's name.  P is applied twice: one pass leaves
+    rounding of about eps ||x|| in the row span, the second removes it."""
     projector, norm_sq, exponent = _null_projector(_full_rank_form(system))
-    perp = projector @ (projector @ b)
-    return perp, norm_sq, exponent, _RAY, lambda: _first_free_ray(projector)
+    return lambda x: projector @ (projector @ x), norm_sq, exponent, _RAY
 
 
 def optimal_direction(
@@ -378,8 +404,9 @@ def optimal_direction(
     `tolerance` overrides the relative degeneracy coefficient
     (default DEGENERACY_TOLERANCE); it must be finite and positive.  b is
     used divided by a power of two, `objective.scaled`, so nothing overflows.
-    Only the rank test, the projection P(P b), the ray scale ||A_form||^2
-    and the degenerate direction are the wedge path's own (`_project`).
+    Only the rank test, the projection map x -> P(P x) and the ray scale
+    ||A_form||^2 are the wedge path's own (`_project`); the degenerate
+    direction is the rule `_solve` applies to that map.
     """
     return _solve(system, objective, tolerance, _project)
 
@@ -428,35 +455,11 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)), _RAY)
 
 
-def _first_free_ray(projector: np.ndarray) -> np.ndarray:
-    """Normalized ray for b = e_j at the first axis j with ||P P e_j|| > 1e-4.
-
-    Column j of P P is P applied twice to e_j, so one pass over the columns
-    finds j.  P is a symmetric projector with trace n - m >= 1, so its
-    squared column norms sum to n - m and some column has norm at least
-    1/sqrt(n), far above 1e-4 for n <= 64; the error below needs a
-    projector that rounding has ruined.
-    """
-    twice = projector @ projector
-    lengths = np.linalg.norm(twice, axis=0)
-    free = np.flatnonzero(lengths > 1e-4)
-    if not free.size:
-        largest = float(lengths.max())
-        raise DomainError(
-            f"no coordinate axis has a null-space part above 1e-4; the largest is {largest!r}"
-        )
-    return twice[:, free[0]] / lengths[free[0]]
-
-
 def degenerate_direction(system: ConstraintSystem) -> np.ndarray:
     """Deterministic unit vector in the null space of the constraint rows.
 
-    The normalized ray of the first coordinate axis with a non-negligible
-    null-space component, which is that axis projected onto the null space
-    and normalized.
+    The rule a degenerate solve applies, `_free_direction`, on the wedge
+    path's map: the first coordinate axis whose null-space part is longer
+    than 1e-4, projected and normalized; e_1 when there are no rows.
     """
-    if system.m == 0:
-        axis = np.zeros(system.n)
-        axis[0] = 1.0
-        return axis
-    return _first_free_ray(_null_projector(_full_rank_form(system))[0])
+    return _free_direction(_projection(system, _project)[0], system.n)

@@ -286,6 +286,21 @@ class TestOracleScaleRobustness:
             "is not representable: its scale is 0.11213753708388874 * 2**1129"
         )
 
+    def test_gram_schmidt_scale_past_the_double_range_solved(self):
+        # the row's Gram-Schmidt scale is about 2.1e308, not a double, but the
+        # ray scale is kept as a mantissa and an exponent and the ray is a double
+        system = ConstraintSystem([[1.5e308, 1.5e308, 0.0]])
+        objective = Objective([1e-310, 0.0, 1e-310])
+        fast = optimal_direction(system, objective)
+        slow = oracle_direction(system, objective)
+        assert slow.status is SolveStatus.OPTIMAL
+        assert np.max(np.abs(slow.direction - fast.direction)) <= 1e-15
+        assert np.max(np.abs(slow.raw - fast.raw)) <= 1e-12 * np.max(np.abs(fast.raw))
+        fast_value = objective_value(system, objective, 1.0)
+        assert oracle_value(system, objective, 1.0) == pytest.approx(fast_value, rel=1e-12)
+        with pytest.raises(DomainError, match="scales must be positive and finite"):
+            orthonormalize(system.rows)
+
     def test_scale_past_the_double_range_refused(self):
         # the first row norm is about 2.1 * 2^1023: finite entries, no finite scale
         rows = np.ldexp([[1.5, 1.5, 0.0], [0.0, 1.5, 1.5]], 1023)
@@ -340,6 +355,14 @@ class TestIndependentRows:
     def test_rejects_non_matrix(self):
         with pytest.raises(DomainError):
             independent_rows([1.0, 0.0])
+
+    NON_FINITE = [math.inf, -math.inf, math.nan, complex(math.inf, 0), complex(0, math.nan)]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_rows(self, bad):
+        rows = np.array([[1.0, 0.0, 0.0], [bad, 1.0, 0.0]])
+        with pytest.raises(DomainError, match="^rows must have finite entries$"):
+            independent_rows(rows)
 
 
 class TestCrossValidation:

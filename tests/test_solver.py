@@ -426,7 +426,7 @@ class TestNullProjector:
 
     def test_fallback_without_a_free_axis_is_a_domain_error(self):
         with pytest.raises(DomainError, match="largest is 0.0"):
-            wedgeopt.solver._first_free_ray(np.zeros((3, 3)))
+            wedgeopt.solver._free_direction(lambda x: 0.0 * x, 3)
 
     def test_zero_constraint_form_is_a_domain_error(self):
         # Three rows of size 2^-400 pass validation, but their minors underflow.
@@ -726,10 +726,11 @@ class TestIndependentOfOracle:
         import wedgeopt.solver
 
         def refuse(*args):
-            raise AssertionError("the oracle called the solver's degenerate fallback")
+            raise AssertionError("the oracle called one of the solver's own steps")
 
-        monkeypatch.setattr(wedgeopt.solver, "degenerate_direction", refuse)
-        monkeypatch.setattr(wedgeopt.solver, "_first_free_ray", refuse)
+        steps = ["_sigma_min", "_null_projector", "constraint_form", "_project"]
+        for name in ["degenerate_direction", *steps]:
+            monkeypatch.setattr(wedgeopt.solver, name, refuse)
         monkeypatch.setattr(wedgeopt.oracle, "degenerate_direction", refuse, raising=False)
         rng = np.random.default_rng(46)
         system, _ = random_instance(rng, 5, 2)
@@ -740,8 +741,8 @@ class TestIndependentOfOracle:
 
 
 class TestPathsRunAlone:
-    """Each path's rank test, projection, ray scale and degenerate direction run
-    with the other path's patched to raise; only the shared driver is common."""
+    """Each path's rank test, projection map and ray scale run with the other
+    path's patched to raise; only the shared driver and its rules are common."""
 
     @staticmethod
     def instances():
@@ -781,19 +782,58 @@ class TestPathsRunAlone:
         assert relative_residual(system.rows, feasible) <= 1e-10
 
     def test_solver_runs_without_the_oracle(self, monkeypatch):
-        self.refuse_all(monkeypatch, wedgeopt.oracle, ["_gram_schmidt", "perpendicular_component"])
+        names = ["_gram_schmidt", "_remove_span", "perpendicular_component", "_project"]
+        self.refuse_all(monkeypatch, wedgeopt.oracle, names)
         for system, objective, status in self.instances():
             value = objective_value(system, objective, 1.0) if system.m else None
             solution = optimal_direction(system, objective)
             self.check(system, objective, status, solution, value, degenerate_direction(system))
 
     def test_oracle_runs_without_the_solver(self, monkeypatch):
-        names = ["_sigma_min", "_null_projector", "constraint_form", "_first_free_ray"]
+        names = ["_sigma_min", "_null_projector", "constraint_form", "_project"]
         self.refuse_all(monkeypatch, wedgeopt.solver, names)
         for system, objective, status in self.instances():
             value = oracle_value(system, objective, 1.0) if system.m else None
             solution = oracle_direction(system, objective)
             self.check(system, objective, status, solution, value, sample_feasible(system, 5))
+
+    def test_oracle_builds_no_public_basis(self, monkeypatch):
+        # the oracle solves on plain Gram-Schmidt arrays, so no per-row scale
+        # has to fit in a double as OrthoBasis requires
+        def refuse(self):
+            raise AssertionError("a solve built an OrthoBasis")
+
+        monkeypatch.setattr(wedgeopt.oracle.OrthoBasis, "__post_init__", refuse)
+        for system, objective, status in self.instances():
+            value = oracle_value(system, objective, 1.0) if system.m else None
+            solution = oracle_direction(system, objective)
+            self.check(system, objective, status, solution, value, sample_feasible(system, 5))
+
+
+class TestSharedRules:
+    """What the driver decides once for both paths: m = 0 and the degenerate direction."""
+
+    @pytest.mark.parametrize("solve", [optimal_direction, oracle_direction])
+    def test_no_degeneracy_test_without_rows(self, solve):
+        # ||b_perp|| = ||b|| <= 2 ||b||, yet m = 0 is never degenerate
+        objective = Objective([3.0, -4.0], "min")
+        solution = solve(ConstraintSystem.unconstrained(2), objective, tolerance=2.0)
+        assert solution.status is SolveStatus.UNCONSTRAINED
+        assert np.array_equal(solution.direction, [-0.6, 0.8])
+        assert np.array_equal(solution.raw, objective.b)
+
+    def test_degenerate_directions_agree(self):
+        rng = np.random.default_rng(49)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            m = int(rng.integers(1, n))
+            system = random_system(rng, n, m)
+            objective = Objective(span_combination(rng, system.rows))
+            fast = optimal_direction(system, objective)
+            slow = oracle_direction(system, objective)
+            assert fast.status is slow.status is SolveStatus.DEGENERATE
+            assert np.max(np.abs(fast.direction - slow.direction)) <= 1e-12
+            assert np.array_equal(degenerate_direction(system), fast.direction)
 
 
 class TestScaledOnce:
