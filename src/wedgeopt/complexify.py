@@ -2,7 +2,9 @@
 
 A complex m x n system with a real objective (Re or Im of b . x, with the
 unconjugated bilinear product) becomes a real 2m x 2n system in the
-coordinates (Re x_1 .. Re x_n, Im x_1 .. Im x_n).
+coordinates (Re x_1 .. Re x_n, Im x_1 .. Im x_n).  The real solve's answer
+is folded back into a `Solution` with complex arrays; `ComplexSolution` is
+another name for that type.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .solver import ConstraintSystem, Objective, SolveStatus, optimal_direction
+from .forms import _freeze
+from .solver import ConstraintSystem, Objective, Solution, optimal_direction
 
 __all__ = ["ComplexProblem", "ComplexSolution", "realify", "solve_complex"]
 
@@ -45,10 +48,6 @@ class ComplexProblem:
             raise DomainError(f"objective must be a complex vector of length {rows.shape[1]}")
         if self.part not in ("re", "im"):
             raise DomainError(f"part must be 're' or 'im', got {self.part!r}")
-        rows.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "b", b)
         m, n = rows.shape
         real = np.zeros((2 * m, 2 * n))
         real[0::2, :n] = rows.real
@@ -63,8 +62,8 @@ class ComplexProblem:
         # limit, applied to 2n, m < n, finite nonzero rows, a finite nonzero
         # objective and the mode.  The work budget is checked by the solve, on
         # the real 2m x 2n shape.
-        object.__setattr__(self, "system", ConstraintSystem(real))
-        object.__setattr__(self, "objective", Objective(vec, self.mode))
+        system, objective = ConstraintSystem(real), Objective(vec, self.mode)
+        _freeze(self, rows=rows, b=b, system=system, objective=objective)
 
     @property
     def m(self) -> int:
@@ -75,24 +74,8 @@ class ComplexProblem:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexSolution:
-    """Complex unit direction, unnormalized complex ray, objective, status."""
-
-    direction: np.ndarray
-    raw: np.ndarray
-    objective: float
-    status: SolveStatus
-
-    def __post_init__(self) -> None:
-        direction = np.array(self.direction, dtype=complex)
-        raw = np.array(self.raw, dtype=complex)
-        direction.flags.writeable = False
-        raw.flags.writeable = False
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "objective", float(self.objective))
-        object.__setattr__(self, "status", SolveStatus(self.status))
+# The complex answer is a `Solution` with complex arrays.
+ComplexSolution = Solution
 
 
 def realify(problem: ComplexProblem) -> tuple[ConstraintSystem, Objective]:
@@ -101,16 +84,17 @@ def realify(problem: ComplexProblem) -> tuple[ConstraintSystem, Objective]:
     return problem.system, problem.objective
 
 
-def solve_complex(problem: ComplexProblem, tolerance: float | None = None) -> ComplexSolution:
+def solve_complex(problem: ComplexProblem, tolerance: float | None = None) -> Solution:
     """Solve the realified problem and fold the answer back to complex form.
 
-    The folded direction has unit complex norm exactly when the real
-    direction has unit norm, and it satisfies every complex constraint in
-    both real and imaginary parts.
+    The result is a `Solution` with complex `direction` and `raw`.  The
+    folded direction has unit complex norm exactly when the real direction
+    has unit norm, and it satisfies every complex constraint in both real
+    and imaginary parts.
     """
     solution = optimal_direction(*realify(problem), tolerance)
     direction, raw = _fold(solution.direction), _fold(solution.raw)
-    return ComplexSolution(direction, raw, solution.objective, solution.status)
+    return Solution(direction, raw, solution.objective, solution.status)
 
 
 def _fold(vec: np.ndarray) -> np.ndarray:

@@ -82,6 +82,22 @@ def _check_work(nbytes: int, what: str) -> None:
         )
 
 
+def _freeze(obj: object, **fields: object) -> None:
+    """Set each field of the frozen dataclass `obj`, each array made read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
+def _ldexp_checked(x: float, e: int, what: str) -> float:
+    """x * 2^e, refused, as `what`, when it is not a finite double."""
+    # x = f * 2^k with f in [1/2, 1) scales past the largest double iff k + e > 1024
+    if not math.isfinite(x) or math.frexp(x)[1] + e > 1024:
+        raise DomainError(f"{what} is not representable: {float(x)!r} * 2**{e}")
+    return math.ldexp(x, e)
+
+
 def _blocks(n: int, k: int):
     """(i, block, tail) for each first element i of a grade-k index below n, k >= 1.
 
@@ -311,8 +327,7 @@ class MultiIndex:
             raise DomainError(f"indices must lie in [1, {n}], got {indices}")
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise DomainError(f"indices must be strictly increasing, got {indices}")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "n", n)
+        _freeze(self, indices=indices, n=n)
 
     @property
     def k(self) -> int:
@@ -370,10 +385,7 @@ class KForm:
             raise DomainError(f"a grade-{k} form over R^{n} needs exactly {expected} coefficients")
         if not np.all(np.isfinite(coeffs)):
             raise DomainError("form coefficients must be finite")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", coeffs)
+        _freeze(self, n=n, k=k, coeffs=coeffs)
 
     def norm(self) -> float:
         """Euclidean norm of the coefficients, each divided by the exact power of two 2^e
@@ -381,9 +393,7 @@ class KForm:
         a norm past the largest double is refused."""
         e = math.frexp(float(np.max(np.abs(self.coeffs))))[1]
         norm = float(np.linalg.norm(np.ldexp(self.coeffs, -e)))
-        if math.frexp(norm)[1] + e > 1024:
-            raise DomainError(f"the form's norm is not representable: {norm!r} * 2**{e}")
-        return math.ldexp(norm, e)
+        return _ldexp_checked(norm, e, "the form's norm")
 
 
 def zero_form(n: int, k: int) -> KForm:

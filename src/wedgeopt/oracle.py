@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
+from .forms import _freeze
 from .solver import (
     RANK_TOLERANCE,
     ConstraintSystem,
@@ -69,11 +70,7 @@ class OrthoBasis:
             off = gram - np.diag(np.diag(gram))
             if np.max(np.abs(off)) > 1e-10:
                 raise DomainError("basis vectors must be orthogonal within 1e-10")
-        vectors.flags.writeable = False
-        scales.flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "rank", rank)
+        _freeze(self, vectors=vectors, scales=scales, rank=rank)
 
     @classmethod
     def empty(cls, n: int) -> "OrthoBasis":

@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _check_work, _combos, _interior_rows, _product, _table
+from .forms import KForm, _check_dimension, _check_work, _combos, _freeze, _interior_rows
+from .forms import _ldexp_checked, _product, _table
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -85,9 +86,7 @@ class ConstraintSystem:
         if not rows.any(axis=1).all():
             raise DomainError("constraint rows must be nonzero")
         scaled, exponents = _power_of_two_scaled(rows)
-        for name, value in (("rows", rows), ("scaled", scaled), ("exponents", exponents)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        _freeze(self, rows=rows, scaled=scaled, exponents=exponents)
 
     @classmethod
     def unconstrained(cls, n: int) -> "ConstraintSystem":
@@ -127,15 +126,14 @@ class Objective:
         if self.mode not in ("max", "min"):
             raise DomainError(f"mode must be 'max' or 'min', got {self.mode!r}")
         shift = math.frexp(max(map(abs, b.tolist())))[1]
-        for name, value in (("b", b), ("scaled", np.ldexp(b, -shift))):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "shift", shift)
+        _freeze(self, b=b, scaled=np.ldexp(b, -shift), shift=shift)
 
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Unit direction, unnormalized ray at unit scale, objective value, status."""
+    """Unit direction, unnormalized ray at unit scale, objective value, status.
+
+    The arrays are complex when either is given complex, as `solve_complex` returns them."""
 
     direction: np.ndarray
     raw: np.ndarray
@@ -143,16 +141,13 @@ class Solution:
     status: SolveStatus
 
     def __post_init__(self) -> None:
-        direction = np.array(self.direction, dtype=float)
-        raw = np.array(self.raw, dtype=float)
-        if direction.ndim != 1 or not abs(_norm(direction) - 1.0) <= 1e-12:
+        dtype = complex if np.iscomplexobj(self.direction) or np.iscomplexobj(self.raw) else float
+        direction, raw = np.array(self.direction, dtype=dtype), np.array(self.raw, dtype=dtype)
+        # a complex direction is unit-norm over its real and imaginary parts together
+        if direction.ndim != 1 or not abs(_norm(direction.view(float)) - 1.0) <= 1e-12:
             raise DomainError("a solution direction must be finite and unit-norm within 1e-12")
-        direction.flags.writeable = False
-        raw.flags.writeable = False
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "objective", float(self.objective))
-        object.__setattr__(self, "status", SolveStatus(self.status))
+        objective, status = float(self.objective), SolveStatus(self.status)
+        _freeze(self, direction=direction, raw=raw, objective=objective, status=status)
 
 
 def _solve_bytes(n: int, m: int) -> int:
@@ -293,25 +288,23 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     return np.eye(constraint.n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
 
 
-def _scaled_ray(norm_sq: float, exponent: int, perp: np.ndarray, ray: str) -> np.ndarray:
-    """The ray norm_sq * 2^exponent * perp, refused, as `ray`, when it over- or underflows."""
+def _scaled_ray(scale: float, e: int, perp: np.ndarray, ray: str, zero_ok: bool) -> np.ndarray:
+    """The ray scale * 2^e * perp, refused, as `ray`, when it overflows or,
+    unless `zero_ok`, when a nonzero perp underflows to zero."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        raw = np.ldexp(norm_sq * perp, exponent)
+        raw = np.ldexp(scale * perp, e)
     peak = max(map(abs, raw.tolist()))
-    if not peak < math.inf or (not peak and perp.any()):
+    if not peak < math.inf or (not peak and perp.any() and not zero_ok):
         raise DomainError(
             f"the unnormalized ray {ray} is not representable: "
-            f"its scale is {norm_sq!r} * 2**{exponent}"
+            f"its scale is {scale!r} * 2**{e}"
         )
     return raw
 
 
 def _value(x: float, shift: int) -> float:
     """The objective value x * 2^shift, refused when it is not a finite double."""
-    # x = f * 2^e with f in [1/2, 1) scales past the largest double iff e + shift > 1024
-    if not math.isfinite(x) or math.frexp(x)[1] + shift > 1024:
-        raise DomainError(f"the objective value is not representable: {float(x)!r} * 2**{shift}")
-    return math.ldexp(x, shift)
+    return _ldexp_checked(x, shift, "the objective value")
 
 
 def _projection(system: ConstraintSystem, project: Callable) -> tuple:
@@ -361,10 +354,12 @@ def _solve(
     b, shift = objective.scaled, objective.shift
     apply, scale, exponent, ray = _projection(system, project)
     perp = apply(b)
-    # the unconstrained ray is b itself, kept exact where b / 2^shift is subnormal
-    raw = _scaled_ray(scale, exponent + shift, perp, ray) if system.m else objective.b
     perp_norm = _norm(perp)
-    if system.m and perp_norm <= coeff * _norm(b):
+    degenerate = system.m > 0 and perp_norm <= coeff * _norm(b)
+    # the unconstrained ray is b itself, kept exact where b / 2^shift is subnormal;
+    # a degenerate perp is rounding, whose ray may underflow to zero
+    raw = _scaled_ray(scale, exponent + shift, perp, ray, degenerate) if system.m else objective.b
+    if degenerate:
         return Solution(_free_direction(apply, system.n), raw, 0.0, SolveStatus.DEGENERATE)
     direction = perp / perp_norm
     sigma = 1.0 if objective.mode == "max" else -1.0
@@ -452,7 +447,7 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     if not (a.any() and b.any()):
         raise DomainError("inputs must be nonzero vectors")
     (a, b), (ea, eb) = _power_of_two_scaled(np.array([a, b]))
-    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)), _RAY)
+    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)), _RAY, zero_ok=False)
 
 
 def degenerate_direction(system: ConstraintSystem) -> np.ndarray:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from wedgeopt.complexify import ComplexProblem, realify, solve_complex
+import wedgeopt
+from wedgeopt.complexify import ComplexProblem, ComplexSolution, realify, solve_complex
 from wedgeopt.errors import DomainError
-from wedgeopt.solver import ConstraintSystem, Objective, SolveStatus, optimal_direction
+from wedgeopt.solver import ConstraintSystem, Objective, Solution, SolveStatus, optimal_direction
 
 
 def random_complex(rng, shape):
@@ -77,6 +78,18 @@ class TestSolveComplex:
         assert solution.status is SolveStatus.OPTIMAL
         assert np.allclose(solution.direction, [root_half, root_half * 1j], atol=1e-12)
         assert solution.objective == pytest.approx(root_half, rel=1e-12)
+
+    def test_returns_a_solution_with_complex_arrays(self):
+        rng = np.random.default_rng(74)
+        problem = ComplexProblem(random_complex(rng, (2, 4)), random_complex(rng, 4))
+        solution = solve_complex(problem)
+        assert ComplexSolution is Solution and wedgeopt.ComplexSolution is wedgeopt.Solution
+        assert type(solution) is Solution
+        for array in (solution.direction, solution.raw):
+            assert array.dtype == complex and not array.flags.writeable
+        assert abs(np.linalg.norm(solution.direction) - 1.0) <= 1e-12
+        with pytest.raises(DomainError, match="unit-norm"):
+            Solution([1.0, 1.0j], [0.0, 0.0], 0.0, SolveStatus.OPTIMAL)
 
     def test_real_embedding_matches_real_solver(self):
         rng = np.random.default_rng(71)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import random_instance, relative_residual, span_combination
 from reference import null_space_direction
 from wedgeopt import cli
+from wedgeopt.complexify import ComplexProblem, realify
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.oracle import (
     OrthoBasis,
@@ -300,6 +301,18 @@ class TestOracleScaleRobustness:
         assert oracle_value(system, objective, 1.0) == pytest.approx(fast_value, rel=1e-12)
         with pytest.raises(DomainError, match="scales must be positive and finite"):
             orthonormalize(system.rows)
+
+    def test_degenerate_ray_underflowing_to_zero_solved(self):
+        # b lies in the row span: the oracle's perp is rounding, and its ray
+        # scale, about 2^-2237, takes that perp below the smallest double
+        rows = [[-5e-324 + 2.1207804633e-312j, 2.3677772732106275e-88j]]
+        system, objective = realify(ComplexProblem(rows, [0, 5e-324j]))
+        fast = optimal_direction(system, objective)
+        slow = oracle_direction(system, objective)
+        for solution in (fast, slow):
+            assert solution.status is SolveStatus.DEGENERATE
+            assert solution.objective == 0.0
+        assert not slow.raw.any()
 
     def test_scale_past_the_double_range_refused(self):
         # the first row norm is about 2.1 * 2^1023: finite entries, no finite scale

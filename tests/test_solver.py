@@ -1,5 +1,6 @@
 """Direction solver unit and property tests."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -19,8 +20,9 @@ from reference import brute_optimal_ray, null_space_axis, null_space_direction
 import wedgeopt.forms
 import wedgeopt.oracle
 import wedgeopt.solver
+from wedgeopt.complexify import ComplexProblem, solve_complex
 from wedgeopt.errors import DomainError, RankDeficientError
-from wedgeopt.forms import basis_form, from_vector, hodge, wedge, _combos
+from wedgeopt.forms import MultiIndex, basis_form, from_vector, hodge, wedge, _combos
 from wedgeopt.oracle import (
     oracle_direction,
     oracle_value,
@@ -101,6 +103,36 @@ class TestSolution:
     def test_accepts_unit_direction(self):
         solution = Solution([0.6, -0.8], [3.0, -4.0], 5.0, SolveStatus.OPTIMAL)
         assert solution.direction.tolist() == [0.6, -0.8]
+
+
+_COMPLEX_PROBLEM = ComplexProblem([[1.0 + 2.0j, 0.5, -1.0j]], [1.0, 1.0j, 2.0])
+_VALUES = {
+    "MultiIndex": lambda: MultiIndex((1, 3), 4),
+    "KForm": lambda: from_vector([1.0, 2.0, 3.0]),
+    "ConstraintSystem": lambda: ConstraintSystem([[1.0, 2.0, 0.0]]),
+    "Objective": lambda: Objective([1.0, -2.0, 3.0]),
+    "Solution": lambda: optimal_direction(ConstraintSystem([[1.0, 2.0, 0.0]]), Objective([1, 0, 1])),
+    "Solution_complex": lambda: solve_complex(_COMPLEX_PROBLEM),
+    "OrthoBasis": lambda: orthonormalize([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]),
+    "ComplexProblem": lambda: _COMPLEX_PROBLEM,
+}
+
+
+class TestValuesAreFrozen:
+    @pytest.mark.parametrize("make", _VALUES.values(), ids=_VALUES.keys())
+    def test_fields_and_arrays_are_read_only(self, make):
+        value = make()
+        arrays = 0
+        for name in (f.name for f in dataclasses.fields(value)):
+            current = getattr(value, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, current)
+            if isinstance(current, np.ndarray):
+                arrays += 1
+                assert current.size
+                with pytest.raises(ValueError, match="read-only"):
+                    current[...] = current
+        assert arrays or isinstance(value, MultiIndex)
 
 
 class TestConstraintForm:
