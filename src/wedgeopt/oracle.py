@@ -1,13 +1,13 @@
 """Independent Gram-Schmidt projection path used to cross-check the solver.
 
-Orthonormalizes the constraint rows, removes their span from the objective
-vector and normalizes what is left.  The oracle supplies its own rank test,
-projection map and ray scale (`_project`), all from the plain arrays of
-`_gram_schmidt`; the solver's `_solve` does the rest for both paths alike:
-the unconstrained case, the degenerate direction, classification, sign and
-value.  On every nondegenerate instance the result must be parallel to the
-solver's null-space direction; the test suite and the CLI --check flag
-enforce that agreement.
+Orthonormalizes the constraint rows by classical Gram-Schmidt, removes
+their span from the objective vector and normalizes what is left; one span
+routine, `_remove_span`, serves every step.  The oracle supplies its own
+rank test, projection map and ray scale (`_project`); the solver's `_solve`
+does the rest for both paths alike: the unconstrained case, the degenerate
+direction, classification, sign and value.  On every nondegenerate instance
+the result must be parallel to the solver's null-space direction; the test
+suite and the CLI --check flag enforce that agreement.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class OrthoBasis:
 
 
 def _gram_schmidt(scaled: np.ndarray) -> tuple[np.ndarray, list, list, list]:
-    """Modified Gram-Schmidt with one re-orthogonalization pass per row.
+    """Classical Gram-Schmidt, two passes per row through `_remove_span`.
 
     Takes the rows as `_power_of_two_scaled` gives them, each row divided by
     2^e, and returns plain arrays: the unit vectors of the kept rows, as the
@@ -93,21 +93,19 @@ def _gram_schmidt(scaled: np.ndarray) -> tuple[np.ndarray, list, list, list]:
     own norm, a rule that no per-row rescaling changes.  No scale 2^e times
     a residual is formed, so none has to be a double.
     """
-    kept, vectors, residuals, dropped = [], [], [], []
+    basis = np.empty_like(scaled)
+    kept, residuals, dropped = [], [], []
     for i, row in enumerate(scaled):
         norm = math.sqrt(row @ row)  # the rows are scaled: no square over- or underflows
-        v = row.copy()
-        for _ in range(2):
-            for u in vectors:
-                v -= np.vdot(u, v) * u
+        v = _remove_span(basis[: len(kept)], row)
         residual = math.sqrt(v @ v)
         if residual > RANK_TOLERANCE * norm:
+            basis[len(kept)] = v / residual
             kept.append(i)
-            vectors.append(v / residual)
             residuals.append(residual)
         else:
             dropped.append((i, residual / norm if norm else 0.0))
-    return np.reshape(vectors, (len(kept), scaled.shape[1])), residuals, kept, dropped
+    return basis[: len(kept)], residuals, kept, dropped
 
 
 def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from exact import exact_direction, exact_ratio
 from helpers import random_instance, relative_residual, span_combination
 from reference import null_space_direction
 from wedgeopt import cli
@@ -17,6 +18,7 @@ from wedgeopt.complexify import ComplexProblem, realify
 from wedgeopt.errors import DomainError, RankDeficientError
 from wedgeopt.oracle import (
     OrthoBasis,
+    _gram_schmidt,
     oracle_direction,
     oracle_value,
     orthonormalize,
@@ -84,6 +86,44 @@ class TestOrthoBasis:
     def test_empty(self):
         basis = OrthoBasis.empty(5)
         assert basis.rank == 0 and basis.n == 5
+
+
+class TestGramSchmidtBasis:
+    def test_near_dependent_rows_keep_an_orthonormal_basis(self):
+        # the last row is a combination of the others plus a part of relative
+        # size 10^U(-9.5, -2); each row is then scaled by its own 2^k
+        rng = np.random.default_rng(71)
+        for _ in range(1000):
+            n = int(rng.integers(3, 13))
+            m = int(rng.integers(2, n))
+            rows = rng.standard_normal((m, n))
+            combination = rng.standard_normal(m - 1) @ rows[:-1]
+            part = rng.standard_normal(n)
+            size = 10 ** rng.uniform(-9.5, -2) * np.linalg.norm(combination) / np.linalg.norm(part)
+            rows[-1] = combination + size * part
+            system = ConstraintSystem(np.ldexp(rows, rng.integers(-200, 201, size=(m, 1))))
+            vectors, residuals, kept, dropped = _gram_schmidt(system.scaled)
+            assert sorted(kept + [i for i, _ in dropped]) == list(range(m))
+            assert vectors.shape == (len(kept), n) and len(residuals) == len(kept)
+            assert np.max(np.abs(vectors @ vectors.T - np.eye(len(kept)))) <= 1e-14
+
+    # integer rows, so the dependent row is an exact combination of earlier ones
+    DEPENDENT = [
+        ([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 3, 1]], 1),
+        ([[1, 2, 0, 1], [0, 1, 3, 1], [2, 3, -3, 1]], 2),
+        ([[1, 2, 0, 1, 0], [3, -1, 2, 0, 1], [-5, 4, -4, 1, -2], [0, 0, 1, 1, 1]], 2),
+        ([[1, 0, 2, 0, 1, 1], [0, 1, 1, 2, 0, 3], [4, -3, 5, -6, 4, -5], [1, 1, 1, 1, 1, 1]], 2),
+    ]
+
+    @pytest.mark.parametrize("rows, index", DEPENDENT)
+    @pytest.mark.parametrize("k", [0, 300, -300])
+    def test_exact_combination_dropped(self, rows, index, k):
+        system = ConstraintSystem(np.ldexp(np.array(rows, dtype=float), k))
+        _, _, kept, dropped = _gram_schmidt(system.scaled)
+        assert [i for i, _ in dropped] == [index]
+        assert kept == [i for i in range(len(rows)) if i != index]
+        with pytest.raises(RankDeficientError, match=f"residual of row {index} over its norm"):
+            oracle_direction(system, Objective(np.ones(system.n)))
 
 
 class TestPerpendicularComponent:
@@ -407,6 +447,58 @@ class TestCrossValidation:
             for seed in range(40):
                 sample = sample_feasible(system, seed)
                 assert float(objective.b @ sample) <= solution.objective + 1e-9
+
+
+# ROADMAP item 1's file: the wedge path returns the exact direction negated
+ITEM_ONE = {
+    "n": 3,
+    "m": 2,
+    "A": [
+        [0.5631823618346624, -0.8860684456412217, -0.5854427746911693],
+        [1.365451207659832, -2.1482974526685368, -1.4194221995373546],
+    ],
+    "B": [1.563819574958663, -2.460395213742765, -1.6256313026863418],
+}
+
+
+@st.composite
+def exact_problems(draw):
+    """Rows and an objective in R^n, n <= 8, the last row and b drawn near the
+    row span; kept when the unit rows have sigma_min >= 1e-3 and the exact
+    ||b_perp|| / ||b|| is at least 1e-3."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, n))
+    if m > 1:
+        rows[-1] = rng.standard_normal(m - 1) @ rows[:-1] + 10 ** rng.uniform(-2.5, 0) * rows[-1]
+    b = rng.standard_normal(m) @ rows + 10 ** rng.uniform(-2.5, 0) * rng.standard_normal(n)
+    units = rows / np.linalg.norm(rows, axis=1)[:, None]
+    assume(np.linalg.svd(units, compute_uv=False)[-1] >= 1e-3)
+    ratio = exact_ratio(rows, b)
+    assume(ratio is not None and ratio >= 1e-3)
+    return rows, b, draw(st.sampled_from(["max", "min"]))
+
+
+class TestExactReference:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(exact_problems())
+    def test_both_paths_match_the_exact_direction(self, problem):
+        rows, b, mode = problem
+        expected = exact_direction(rows, b) * (1.0 if mode == "max" else -1.0)
+        for solve in (optimal_direction, oracle_direction):
+            solution = solve(ConstraintSystem(rows), Objective(b, mode))
+            assert solution.status is SolveStatus.OPTIMAL
+            assert float(solution.direction @ expected) >= 1.0 - 1e-12
+
+    def test_oracle_matches_the_exact_direction_where_the_solver_flips(self, tmp_path, capsys):
+        expected = exact_direction(ITEM_ONE["A"], ITEM_ONE["B"])
+        solution = oracle_direction(ConstraintSystem(ITEM_ONE["A"]), Objective(ITEM_ONE["B"]))
+        assert float(solution.direction @ expected) >= 1.0 - 1e-12
+        path = tmp_path / "flip.json"
+        path.write_text(json.dumps(ITEM_ONE))
+        assert cli.main(["--input", str(path), "--check"]) == 2
+        assert "direction agreement too low" in capsys.readouterr().err
 
 
 @st.composite
