@@ -288,8 +288,10 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
     n=3, m=1 additionally 1 - cosine against the normalized vector triple
     product <= 1e-12.
     """
-    if not isinstance(n, int) or not isinstance(m, int):
-        raise ValidationError("n and m must be integers")
+    for name, value in (("n", n), ("m", m), ("trials", trials), ("seed", seed)):
+        # the rule of `_require_int`: a bool is not an integer here
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name}: expected an integer, got {value!r}")
     if not 0 <= m < n:
         raise ValidationError(f"self-test requires 0 <= m < n, got m={m}, n={n}")
     if trials < 0:

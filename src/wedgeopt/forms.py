@@ -11,11 +11,13 @@ threads.
 Every product and contraction runs on one cached split table: for every
 grade-(k+l) index and every split of its slots, the ranks of the two parts
 and the sign.  Only the grade-1 tables are built directly, each below
-grade n/2 by block copies of the one a grade down; every other split table
-is composed from them.  A solve of m rows uses the grade-1 tables up to
-grade m only: the (k, 1) ones for k < m to fold the rows into an m-form,
-and the (m-1, 1) one to lay out the contractions of that form by each basis
-vector as the rows of one n x C(n, m-1) array.
+grade n/2 by block copies of the one a grade down, and each from n/2 up as
+a mirror of the one below its dual grade; every other split table is
+composed from them.  A solve of m rows uses the (k, 1) tables for
+k < min(m, n - m) only.  When 2m <= n the ones for k < m fold the rows into
+an m-form, and the (m-1, 1) one lays out the contractions of that form by
+each basis vector as the rows of one n x C(n, m-1) array; when 2m > n the
+(n-m-1, 1) one lays out those of its Hodge dual.
 """
 
 from __future__ import annotations
@@ -52,20 +54,6 @@ _MAX_DIMENSION = 64
 # (estimate 9.0 GiB) runs out of memory even under a 5.5 GB limit; the
 # budget lies between the two.
 _WORK_BUDGET = 4 * 2**30
-
-
-def _pascal(size: int) -> np.ndarray:
-    """Pascal table; entry [a, b] is C(a, b), zero when b > a."""
-    table = np.zeros((size, size), dtype=np.int64)
-    table[:, 0] = 1
-    for a in range(1, size):
-        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
-    table.flags.writeable = False
-    return table
-
-
-# One Pascal table serves every dimension: entry [a, b] is C(a, b) for a, b <= 64.
-_BINOMIALS = _pascal(_MAX_DIMENSION + 1)
 
 
 def _check_dimension(n: int) -> None:
@@ -165,40 +153,32 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     without T_p, the k-form's index; sign[p] is (-1)^(k-p), the parity of
     moving T_p past the k - p slots after it.
 
-    When 1 <= k < n/2 the ranks are block copies of the (k-1, 1) table,
-    which is built first, so the work check counts the whole chain.  Over
-    the targets (i, S) of one block (see `_blocks`), S running over a tail
-    of the grade-k indices, rank[0] is the rank of S, an arange over that
-    tail; rank[1:] is the (k-1, 1) table's rank over the same tail, moved
-    from the (k-1)-tuples above i to the k-tuples that start with i.
-    Grades from n/2 up, reached only by the determinant path, take
-    C(n,k) - 1 - sum_{j<p} C(n-1-T_j, k-j) - sum_{j>p} C(n-1-T_j, k+1-j),
-    one prefix and one suffix sum over the slots, so that path builds no
-    table of a grade above its own.
+    Every table but k = 0 is built from one below n/2, built first, so the
+    work check counts the whole chain.  When 1 <= k < n/2 the ranks are
+    block copies of the (k-1, 1) table: over the targets (i, S) of one block
+    (see `_blocks`), S running over a tail of the grade-k indices, rank[0]
+    is the rank of S, an arange over that tail; rank[1:] is the (k-1, 1)
+    table's rank over the same tail, moved from the (k-1)-tuples above i to
+    the k-tuples that start with i.  When 2k >= n they are a scatter of its
+    dual, the (n-k-1, 1) table: each of its (U, p) gives the target
+    T = (U without U_p)^c, of rank C(n,k+1) - 1 - rank(U without U_p), whose
+    slot U_p - p holds U_p and leaves U^c, of rank C(n,k) - 1 - rank(U).
     """
-    if k and 2 * k < n:
-        chain = sum(16 * (j + 1) * math.comb(n, j + 1) for j in range(k + 1))
-        _check_work(chain, f"the ({n}, {k}, 1) table and the grade-1 tables below it")
-        _, lower, _ = _grade1_table(n, k - 1)
-        targets = _combos(n, k + 1).T
-        rank = np.empty(targets.shape, dtype=np.intp)
+    low, below = (n - k - 1, "its dual") if 2 * k >= n else (k - 1, "it")
+    chain = sum(16 * (j + 1) * math.comb(n, j + 1) for j in (*range(low + 1), k))
+    _check_work(chain, f"the ({n}, {k}, 1) table and the grade-1 tables below {below}")
+    targets = _combos(n, k + 1).T
+    rank = np.zeros(targets.shape, dtype=np.intp)  # for k = 0, the empty index
+    if 2 * k >= n:
+        dual_targets, dual_rank, _ = _grade1_table(n, low)
+        slots = dual_targets - np.arange(low + 1)[:, None]
+        rank[slots, math.comb(n, k + 1) - 1 - dual_rank] = np.arange(math.comb(n, k))[::-1]
+    elif k:
+        _, lower, _ = _grade1_table(n, low)
         # (i, R), R a (k-1)-tuple at `lower_tail` + j, is the k-tuple at `home.start` + j
         for (_, block, tail), (_, home, lower_tail) in zip(_blocks(n, k + 1), _blocks(n, k)):
             rank[0, block] = np.arange(tail, math.comb(n, k))
             np.add(lower[:, tail:], home.start - lower_tail, out=rank[1:, block])
-    else:
-        _check_work(16 * (k + 1) * math.comb(n, k + 1), f"the ({n}, {k}, 1) table")
-        targets = _combos(n, k + 1).T
-        below = n - 1 - np.arange(n)
-        rank = np.empty(targets.shape, dtype=np.intp)
-        running = np.full(targets.shape[1], math.comb(n, k) - 1, dtype=np.intp)
-        for p in range(k + 1):
-            rank[p] = running
-            running -= _BINOMIALS[below, k - p][targets[p]]
-        running[:] = 0
-        for p in range(k, -1, -1):
-            rank[p] -= running
-            running += _BINOMIALS[below, k + 1 - p][targets[p]]
     sign = np.where((k - np.arange(k + 1)) % 2 == 0, 1.0, -1.0)
     rank.flags.writeable = False
     sign.flags.writeable = False
@@ -214,13 +194,13 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
     ones below keep their positions, each by a gather in the grade-1 table
     of the current grade, which also gives the sign of moving it to the
     back; each removed element e is prepended to the l-part, whose rank
-    grows as rank_{i+1} = C(n,i+1) - C(n,i) - C(n-1-e,i+1) + rank_i.
+    grows as rank_{i+1} = C(n,i+1) - C(n,i) - C(n-1-e,i+1) + rank_i, the
+    last term gathered from one n-vector of C(n-1-e, i+1) per removed slot.
     """
     grade = k + l
     _check_work(16 * math.comb(n, grade) * math.comb(grade, l), f"the ({n}, {k}, {l}) table")
     targets = _combos(n, grade).T
     splits = _combos(grade, l)
-    below = n - 1 - np.arange(n)
     k_rank = np.broadcast_to(np.arange(targets.shape[1]), (splits.shape[0], targets.shape[1]))
     l_rank = np.zeros(k_rank.shape, dtype=np.intp)
     sign = np.ones(splits.shape[0])
@@ -229,8 +209,8 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
         _, rank, slot_sign = _grade1_table(n, grade - 1 - i)
         k_rank = rank[slot[:, None], k_rank]
         sign *= slot_sign[slot]
-        l_rank += _BINOMIALS[n, i + 1] - _BINOMIALS[n, i]
-        l_rank -= _BINOMIALS[below, i + 1][targets[slot]]
+        l_rank += math.comb(n, i + 1) - math.comb(n, i)
+        l_rank -= np.array([math.comb(n - 1 - e, i + 1) for e in range(n)])[targets[slot]]
     for arr in (k_rank, l_rank, sign):
         arr.flags.writeable = False
     return k_rank, l_rank, sign

@@ -6,12 +6,15 @@ projection P of b onto the null space of the rows.  That map is a small
 n x n matrix built from A alone: contract(A, A ^ b) = ||A||^2 b - C C^T b,
 where row i of the n x C(n, m-1) array C is contract(e_i, A), so
 P = I - C C^T / ||A||^2 and no solve forms A ^ b or any other form above
-grade m.  For one row in R^3 this is the paper's triple product
-a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which removes
-the rounding the first pass leaves in the row span; ||A||^2 times it is
-the paper's double dual *(A ^ *(b ^ A)) times (-1)^(n+1).
-`constraint_form` folds the rows through the grade-1 kernel of `forms`
-when 2m <= n and takes the minors as a batch of determinants otherwise.
+grade m.  When 2m > n, P = C' C'^T / ||A||^2 is read off the Hodge dual *A
+of grade n - m instead, row i of C' being contract(e_i, *A), so no solve
+builds a grade-1 table at grade min(m, n - m) or above.  For one row in R^3
+this is the paper's triple product a x (b x a) = |a|^2 b - (a . b) a.  The
+ray applies P twice, which removes the rounding the first pass leaves in
+the row span; ||A||^2 times it is the paper's double dual
+*(A ^ *(b ^ A)) times (-1)^(n+1).  `constraint_form` folds the rows
+through the grade-1 kernel of `forms` when 2m <= n and takes the minors as
+a batch of determinants otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _check_work, _combos, _freeze, _interior_rows
-from .forms import _ldexp_checked, _product, _table
+from .forms import KForm, _check_dimension, _check_work, _combos, _freeze, _hodge_signs
+from .forms import _interior_rows, _ldexp_checked, _product, _table
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -182,9 +185,10 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     2 sum_{k<=m} C(n, k) k entries, fewer than the C(n, m) m^2 of a gather
     of every minor.  When 2m > n the fold would pass through grade n/2,
     with C(n, n/2) coefficients against C(n, m) minors, so the minors are
-    evaluated directly as a batch of determinants.  The choice depends only
-    on the shape.  A shape over the work budget is refused before anything
-    is allocated, and minors that overflow are refused as non-finite.
+    evaluated directly as a batch of determinants, whose only tables are the
+    index lists up to grade m.  The choice depends only on the shape.  A
+    shape over the work budget is refused before anything is allocated, and
+    minors that overflow are refused as non-finite.
     """
     m, n = system.m, system.n
     if m == 0:
@@ -268,24 +272,31 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
-    """P = I - C C^T / ||A||^2, the projector onto the rows' null space, and ||A||^2.
+    """P, the projector onto the null space of the rows of the m-form A, and ||A||^2.
 
-    Row i of C is contract(e_i, A), so C C^T is ||A||^2 times the projector
-    onto the row span.  A is first divided by an exact power of two, 2^e,
-    that brings its largest coefficient into [1/2, 1), so neither C C^T nor
-    ||A||^2 over- or underflows; ||A||^2 is returned as s and 2e with
-    ||A||^2 = s * 2^(2e), the scale of the wedge path's ray in `_solve`.
+    For a decomposable form F with rows contract(e_i, F) in C, C C^T is
+    ||F||^2 times the projector onto the span of F's factors.  F is A, the
+    rows' span, when 2m <= n, so P = I - C C^T / ||A||^2; it is *A, the null
+    space's, of norm ||A||, when 2m > n, so P = C C^T / ||A||^2.  A is first
+    divided by an exact power of two, 2^e, that brings its largest
+    coefficient into [1/2, 1), so neither C C^T nor ||A||^2 over- or
+    underflows; ||A||^2 is returned as s and 2e with ||A||^2 = s * 2^(2e),
+    the scale of the wedge path's ray in `_solve`.
     """
     peak = float(np.max(np.abs(constraint.coeffs)))
     if not 0.0 < peak < np.inf:
         raise DomainError(
             f"the constraint form must be finite and nonzero; its largest coefficient is {peak!r}"
         )
+    n, m = constraint.n, constraint.k
     exponent = math.frexp(peak)[1]
     coeffs = np.ldexp(constraint.coeffs, -exponent)
-    rows = _interior_rows(coeffs, constraint.n, constraint.k)
     norm_sq = float(coeffs @ coeffs)
-    return np.eye(constraint.n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
+    if 2 * m > n:
+        rows = _interior_rows((_hodge_signs(n, m) * coeffs)[::-1], n, n - m)
+        return (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
+    rows = _interior_rows(coeffs, n, m)
+    return np.eye(n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
 
 
 def _scaled_ray(scale: float, e: int, perp: np.ndarray, ray: str, zero_ok: bool) -> np.ndarray:

@@ -494,6 +494,15 @@ class TestSelfTest:
         assert main(["--self-test", "3", "1", "5", "-1"]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", [True, False, 2.0])
+    def test_non_integer_argument_refused(self, position, value):
+        args = [3, 1, 1, 0]
+        args[position] = value
+        name = ("n", "m", "trials", "seed")[position]
+        with pytest.raises(ValidationError, match=f"^{name}: expected an integer"):
+            self_test(*args)
+
     def test_trials_run_the_check_path(self, monkeypatch):
         def skewed_oracle(system, objective, tolerance=None):
             direction = np.zeros(system.n)

@@ -331,19 +331,24 @@ class TestSplitTable:
                 assert [tuple(row) for row in combos.tolist()] == expected
 
     def test_grade_one_ranks_drop_one_slot(self):
-        for n in range(1, 13):
+        for n in range(1, 15):
             forms._clear_caches()
+            # rank of each index by its bitmask, T without T_p being mask(T) - 2^T_p
+            rank_of_mask = np.zeros(2**n, dtype=np.intp)
+            for k in range(n + 1):
+                for index in itertools.combinations(range(n), k):
+                    mask = sum(1 << i for i in index)
+                    rank_of_mask[mask] = rank_multi_index(MultiIndex([i + 1 for i in index], n))
             # highest grade first, so each table below is built cold by the chain
             for k in range(n - 1, -1, -1):
                 targets, rank, sign = forms._grade1_table(n, k)
                 assert np.array_equal(targets, forms._combos(n, k + 1).T)
                 for table in (targets, rank, sign):
-                    assert table.flags.c_contiguous
+                    assert table.flags.c_contiguous and not table.flags.writeable
                 assert rank.dtype == np.intp and rank.shape == targets.shape
-                for c, target in enumerate(targets.T.tolist()):
-                    for p in range(k + 1):
-                        rest = MultiIndex(tuple(t + 1 for t in target[:p] + target[p + 1 :]), n)
-                        assert rank[p, c] == rank_multi_index(rest)
+                masks = (1 << targets).sum(axis=0)
+                assert np.array_equal(rank, rank_of_mask[masks - (1 << targets)])
+                assert np.array_equal(sign, (-1.0) ** (k - np.arange(k + 1)))
 
     def test_grade_one_chain_over_a_small_budget_refused(self, monkeypatch):
         # the (14, 6, 1) table holds 16 * 7 * C(14, 7) = 384,384 bytes, under the
@@ -352,6 +357,16 @@ class TestSplitTable:
         forms._clear_caches()
         form = KForm(14, 6, np.ones(math.comb(14, 6)))
         with pytest.raises(DomainError, match="grade-1 tables below it"):
+            wedge(form, from_vector(np.ones(14)))
+        assert forms._grade1_table.cache_info().currsize == 0
+
+    def test_grade_one_mirror_chain_over_a_small_budget_refused(self, monkeypatch):
+        # the (14, 8, 1) table holds 16 * 9 * C(14, 9) = 288,288 bytes, and the
+        # chain of its dual, the (14, 5, 1) table, 533,120: 821,408 in all
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 700_000)
+        forms._clear_caches()
+        form = KForm(14, 8, np.ones(math.comb(14, 8)))
+        with pytest.raises(DomainError, match="grade-1 tables below its dual"):
             wedge(form, from_vector(np.ones(14)))
         assert forms._grade1_table.cache_info().currsize == 0
 
@@ -407,6 +422,15 @@ class TestHodge:
         monkeypatch.setattr(forms, "_WORK_BUDGET", 2**20)
         with pytest.raises(DomainError, match="Hodge signs"):
             hodge(form)
+
+    @pytest.mark.parametrize("n, k", [(18, 12), (20, 15), (24, 21)])
+    def test_dual_of_a_wedge_is_a_contraction_of_the_dual(self, n, k):
+        # wedge reads the mirrored (k, 1) table, contract the (n-k-1, 1) table below n/2
+        rng = np.random.default_rng(n + k)
+        a = KForm(n, k, rng.standard_normal(math.comb(n, k)))
+        v = from_vector(rng.standard_normal(n))
+        lhs, rhs = hodge(wedge(a, v)).coeffs, contract(v, hodge(a)).coeffs
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
 
     def test_cross_product_bridge(self):
         rng = np.random.default_rng(9)

@@ -384,18 +384,20 @@ class TestOptimalDirection:
                 assert solution.objective == pytest.approx(1e-6, rel=1e-8)
 
     def test_solve_uses_tables_only_up_to_grade_m(self, monkeypatch):
-        # The ray reads the (m-1, 1) table that the fold already built: no solve
-        # builds the (m, 1) table or any index array above grade m, and the
-        # solver forms no product of A with b.
+        # The ray reads the (m-1, 1) table that the fold already built, or when
+        # 2m > n the (n-m-1, 1) table of the dual: no solve builds a grade-1 table
+        # at grade min(m, n - m) or above, or any index array above grade m, and
+        # the solver forms no product of A with b.
         grade_one_table, combos = wedgeopt.forms._grade1_table, wedgeopt.forms._combos
         assert not hasattr(wedgeopt.solver, "wedge")
         assert not hasattr(wedgeopt.solver, "contract")
         rng = np.random.default_rng(47)
-        for n, m in [(3, 1), (8, 4), (12, 3), (7, 5), (10, 9)]:
+        shapes = [(3, 1), (8, 4), (12, 3), (7, 5), (10, 9), (9, 6), (16, 9), (20, 14)]
+        for n, m in shapes:
 
             def table_below_m(n_, k):
-                if k >= m:
-                    raise AssertionError(f"a solve with m={m} built the ({k}, 1) table")
+                if k >= min(m, n - m):
+                    raise AssertionError(f"a solve with n={n}, m={m} built the ({k}, 1) table")
                 return grade_one_table(n_, k)
 
             def combos_up_to_m(n_, k):
@@ -445,16 +447,16 @@ class TestOptimalDirection:
 class TestNullProjector:
     def test_is_the_null_space_projector(self):
         rng = np.random.default_rng(48)
-        for n in range(2, 10):
-            for m in range(1, n):
-                system = random_system(rng, n, m)
-                form = constraint_form(system)
-                projector, norm_sq, exponent = wedgeopt.solver._null_projector(form)
-                unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
-                assert np.max(np.abs(projector @ unit_rows.T)) <= 1e-12
-                assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
-                assert np.trace(projector) == pytest.approx(n - m, abs=1e-12)
-                assert np.ldexp(norm_sq, exponent) == pytest.approx(form.norm() ** 2, rel=1e-14)
+        shapes = [(n, m) for n in range(2, 10) for m in range(1, n)] + [(16, 9), (20, 14)]
+        for n, m in shapes:
+            system = random_system(rng, n, m)
+            form = constraint_form(system)
+            projector, norm_sq, exponent = wedgeopt.solver._null_projector(form)
+            unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
+            assert np.max(np.abs(projector @ unit_rows.T)) <= 1e-12
+            assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
+            assert np.trace(projector) == pytest.approx(n - m, abs=1e-12)
+            assert np.ldexp(norm_sq, exponent) == pytest.approx(form.norm() ** 2, rel=1e-14)
 
     def test_fallback_without_a_free_axis_is_a_domain_error(self):
         with pytest.raises(DomainError, match="largest is 0.0"):
