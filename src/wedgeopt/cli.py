@@ -369,8 +369,8 @@ def _solve_report_csv(report: SolveReport) -> str:
 
 
 def _self_test_csv(report: dict) -> str:
-    names = "n m trials seed max_residual min_cosine max_objective_gap"
-    columns = {name: report[name] for name in names.split()}
+    names = "n m trials seed max_residual min_cosine max_objective_gap min_triple_cosine"
+    columns = {name: report[name] for name in names.split() if name in report}
     columns.update(failure_count=len(report["failures"]), passed=report["passed"])
     return _csv(columns)
 
@@ -425,6 +425,10 @@ def main(argv: list[str] | None = None) -> int:
             _tolerance(args.tolerance, "--tolerance")
 
         if args.self_test is not None:
+            # a self-test draws its own problems and always runs both paths
+            for flag in ("--tolerance", "--reduce-rows", "--check"):
+                if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+                    raise ValidationError(f"{flag} cannot be combined with --self-test")
             report, ok = self_test(*args.self_test)
             if args.format == "csv":
                 print(_self_test_csv(report), end="")

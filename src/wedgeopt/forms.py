@@ -10,14 +10,17 @@ threads.
 
 Every product and contraction runs on one cached split table: for every
 grade-(k+l) index and every split of its slots, the ranks of the two parts
-and the sign.  Only the grade-1 tables are built directly, each below
-grade n/2 by block copies of the one a grade down, and each from n/2 up as
-a mirror of the one below its dual grade; every other split table is
-composed from them.  A solve of m rows uses the (k, 1) tables for
-k < min(m, n - m) only.  When 2m <= n the ones for k < m fold the rows into
-an m-form, and the (m-1, 1) one lays out the contractions of that form by
-each basis vector as the rows of one n x C(n, m-1) array; when 2m > n the
-(n-m-1, 1) one lays out those of its Hodge dual.
+and the sign.  A contraction is the product contract(a, c) =
+(-1)^(kl + l(n-l)) *(a ^ *c), k and l the grades of a and the result, on a
+table as large as its adjoint's: C(n, l) C(n-l, k) = C(n, k+l) C(k+l, k).
+Only the grade-1 tables are built directly, each below grade n/2 by block copies of the one a grade down,
+and each from n/2 up as a mirror of the one below its dual grade; every
+other split table is composed from them.  A solve of m rows uses the
+(k, 1) tables for k < min(m, n - m) only.  When 2m <= n the ones for k < m
+fold the rows into an m-form, and the (m-1, 1) one lays out the
+contractions of that form by each basis vector as the rows of one
+n x C(n, m-1) array; when 2m > n the (n-m-1, 1) one lays out those of its
+Hodge dual.
 """
 
 from __future__ import annotations
@@ -221,6 +224,7 @@ def _table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The grade-1 table when l is 1, the (l, k) table with its roles swapped
     and its sign times (-1)^(kl) when k < l, the split table otherwise.
+    `contract` of a k-form into a (k+l)-form reads the (k, n-k-l) table.
     """
     if k < l:
         l_rank, k_rank, sign = _table(n, l, k)
@@ -231,8 +235,8 @@ def _table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _split_table(n, k, l)
 
 
-# Up to this many targets C(n, k+l), the kernels gather every split at
-# once; above it they loop over the splits, whose gathers stay small.
+# Up to this many targets C(n, k+l), the kernel gathers every split at
+# once; above that it loops over the splits, whose gathers stay small.
 # Measured crossover (grade-1 tables): 2-D faster at C(n, k+1) <= 2024,
 # slower from 3003 on.
 _WHOLE_TABLE_MAX = 2048
@@ -254,21 +258,6 @@ def _product(a: np.ndarray, b: np.ndarray, *table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interior(a: np.ndarray, c: np.ndarray, size: int, *table: np.ndarray) -> np.ndarray:
-    """The `size` coefficients of contract(k-form a, (k+l)-form c), on bare arrays."""
-    k_rank, l_rank, sign = table
-    if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
-        terms = a[k_rank] * c
-        terms *= sign[:, None]
-        return np.bincount(l_rank.ravel(), weights=terms.ravel(), minlength=size)
-    out = np.zeros(size)
-    for p in range(sign.shape[0]):
-        term = a[k_rank[p]]
-        term *= c
-        out += sign[p] * np.bincount(l_rank[p], weights=term, minlength=size)
-    return out
-
-
 def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
     """n x C(n, k-1) array whose row i is contract(e_i, k-form a), for k >= 1.
 
@@ -277,11 +266,17 @@ def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
     with T_p and the rank of J, so a is scattered once per slot.
     """
     targets, rank, _ = _grade1_table(n, k - 1)
-    out = np.zeros((n, math.comb(n, k - 1)))
+    cols = math.comb(n, k - 1)
+    out = np.zeros(n * cols)  # row i, column J at i * cols + J
     negated = -a
     for p in range(k):
-        out[targets[p], rank[p]] = negated if p % 2 else a
-    return out
+        out[targets[p] * cols + rank[p]] = negated if p % 2 else a
+    return out.reshape(n, cols)
+
+
+def _dual(coeffs: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Hodge dual of a k-form's coefficients: signed, then reversed (see `_hodge_signs`)."""
+    return (_hodge_signs(n, k) * coeffs)[::-1]
 
 
 def _clear_caches() -> None:
@@ -424,19 +419,20 @@ def contract(a: KForm, c: KForm) -> KForm:
     """Interior product of the (k+l)-form `c` by the k-form `a`.
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
-    inner(x, contract(a, c)) for every l-form x.  It runs the split table
-    of wedge(a, x) backwards, gathering from the product's coefficients and
-    summing into the second factor's.
+    inner(x, contract(a, c)) for every l-form x.  It is (-1)^(kl + l(n-l))
+    *(a ^ *c), on the (k, n-k-l) table, checked against the work budget
+    before either dual is taken.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
     if a.n != c.n:
         raise DomainError(f"mismatched ambient dimensions: {a.n} vs {c.n}")
-    grade = c.k - a.k
+    n, grade = a.n, c.k - a.k
     if grade < 0:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
-    size = math.comb(a.n, grade)
-    return KForm(a.n, grade, _interior(a.coeffs, c.coeffs, size, *_table(a.n, a.k, grade)))
+    table = _table(n, a.k, n - c.k)
+    coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), *table), n, n - grade)
+    return KForm(n, grade, -coeffs if (a.k * grade + grade * (n - grade)) % 2 else coeffs)
 
 
 def hodge(a: KForm) -> KForm:
@@ -447,8 +443,7 @@ def hodge(a: KForm) -> KForm:
     """
     if not isinstance(a, KForm):
         raise DomainError("hodge expects a KForm")
-    coeffs = _hodge_signs(a.n, a.k) * a.coeffs
-    return KForm(a.n, a.n - a.k, coeffs[::-1])
+    return KForm(a.n, a.n - a.k, _dual(a.coeffs, a.n, a.k))
 
 
 def inner(a: KForm, b: KForm) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _check_work, _combos, _freeze, _hodge_signs
+from .forms import KForm, _check_dimension, _check_work, _combos, _dual, _freeze
 from .forms import _interior_rows, _ldexp_checked, _product, _table
 
 __all__ = [
@@ -293,7 +293,7 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     coeffs = np.ldexp(constraint.coeffs, -exponent)
     norm_sq = float(coeffs @ coeffs)
     if 2 * m > n:
-        rows = _interior_rows((_hodge_signs(n, m) * coeffs)[::-1], n, n - m)
+        rows = _interior_rows(_dual(coeffs, n, m), n, n - m)
         return (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
     rows = _interior_rows(coeffs, n, m)
     return np.eye(n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent

@@ -93,20 +93,25 @@ def shuffle_products(n, k, l, a, b, c):
     Every split of every sorted (k+l)-tuple T between a k-tuple and an
     l-tuple adds sign * a[K] * b[L] to the product at T and
     sign * a[K] * c[T] to the interior product at L, where sign is the
-    parity of the concatenation (K, L).
+    parity of the concatenation (K, L).  Each tuple's position is looked up
+    by its bitmask, and the targets of one split are summed together, in
+    target order.
     """
-    k_pos = {combo: i for i, combo in enumerate(itertools.combinations(range(n), k))}
-    l_pos = {combo: i for i, combo in enumerate(itertools.combinations(range(n), l))}
+    position = np.zeros(2**n, dtype=np.intp)
+    for grade in (k, l):
+        for i, combo in enumerate(itertools.combinations(range(n), grade)):
+            position[sum(1 << e for e in combo)] = i
+    targets = np.array(list(itertools.combinations(range(n), k + l)), dtype=np.intp)
+    targets = targets.reshape(len(c), k + l)
     product = np.zeros(len(c))
-    interior = np.zeros(len(l_pos))
+    interior = np.zeros(len(b))
     for slots in itertools.combinations(range(k + l), k):
         rest = tuple(i for i in range(k + l) if i not in slots)
         sign = permutation_sign(slots + rest)
-        for t, target in enumerate(itertools.combinations(range(n), k + l)):
-            term = sign * a[k_pos[tuple(target[i] for i in slots)]]
-            low = l_pos[tuple(target[i] for i in rest)]
-            product[t] += term * b[low]
-            interior[low] += term * c[t]
+        term = sign * a[position[(1 << targets[:, list(slots)]).sum(axis=1)]]
+        low = position[(1 << targets[:, list(rest)]).sum(axis=1)]
+        product += term * b[low]
+        np.add.at(interior, low, term * c)
     return product, interior
 
 

@@ -479,6 +479,40 @@ class TestSelfTest:
         assert main(["--self-test", "3", "3", "5", "0"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--tolerance", "0.5"], "--tolerance"),
+            (["--reduce-rows"], "--reduce-rows"),
+            (["--check"], "--check"),
+            (["--tolerance", "0.5", "--reduce-rows", "--check"], "--tolerance"),
+        ],
+    )
+    def test_solve_flags_refused(self, flags, named, capsys, monkeypatch):
+        def no_self_test(*args):
+            raise AssertionError("the self-test ran")
+
+        monkeypatch.setattr(cli, "self_test", no_self_test)
+        assert main(["--self-test", "3", "1", "3", "0", *flags]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert captured.out == ""
+        assert error == {
+            "type": "ValidationError",
+            "message": f"{named} cannot be combined with --self-test",
+        }
+
+    def test_csv_carries_the_triple_cosine(self, capsys):
+        for shape, has_triple in ((["3", "1"], True), (["4", "1"], False), (["3", "2"], False)):
+            assert main(["--self-test", *shape, "5", "1", "--format", "csv"]) == 0
+            header, values = capsys.readouterr().out.splitlines()
+            columns = dict(zip(header.split(","), values.split(",")))
+            assert ("min_triple_cosine" in columns) == has_triple
+            assert main(["--self-test", *shape, "5", "1"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            if has_triple:
+                assert float(columns["min_triple_cosine"]) == report["min_triple_cosine"]
+
     @pytest.mark.parametrize("n, m", [(65, 1), (32, 16)])
     def test_oversized_shape_refused_before_first_trial(self, n, m, monkeypatch):
         def no_trials(*args):

@@ -267,7 +267,9 @@ class TestContract:
 class TestSplitTable:
     """The one table kind that wedge and contract run on, composed from the
     grade-1 tables, against an explicit shuffle sum, through both the
-    whole-table and the per-split branch of each kernel."""
+    whole-table and the per-split branch of the one product kernel; contract
+    is (-1)^(kl + l(n-l)) *(a ^ *c), the product with the dual on the
+    (k, n-k-l) table."""
 
     @staticmethod
     def shapes():
@@ -296,6 +298,29 @@ class TestSplitTable:
                     contracted = contract(form, KForm(n, k + l, c))
                 assert np.max(np.abs(wedged.coeffs - product)) <= 1e-13
                 assert np.max(np.abs(contracted.coeffs - interior)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_contract_through_the_dual_matches_shuffle_sum(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(2, n - 1):
+            for l in range(2, n - k + 1):
+                a = rng.standard_normal(math.comb(n, k))
+                c = rng.standard_normal(math.comb(n, k + l))
+                _, interior = shuffle_products(n, k, l, a, np.zeros(math.comb(n, l)), c)
+                contracted = contract(KForm(n, k, a), KForm(n, k + l, c))
+                assert np.max(np.abs(contracted.coeffs - interior)) <= 1e-13
+
+    def test_cold_contract_over_a_small_budget_refused(self, monkeypatch):
+        # the (12, 6, 3) table that contract(3-form, 6-form) reads holds
+        # 16 * C(12, 9) * C(9, 3) = 295,680 bytes, over a budget of 200,000
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 200_000)
+        forms._clear_caches()
+        a = KForm(12, 3, np.ones(math.comb(12, 3)))
+        c = KForm(12, 6, np.ones(math.comb(12, 6)))
+        with pytest.raises(DomainError, match=r"the \(12, 6, 3\) table"):
+            contract(a, c)
+        for table in (forms._split_table, forms._grade1_table, forms._hodge_signs):
+            assert table.cache_info().currsize == 0
 
     def test_vector_into_high_grade_uses_grade_one_table(self, monkeypatch):
         def refuse(*args):
@@ -425,11 +450,13 @@ class TestHodge:
 
     @pytest.mark.parametrize("n, k", [(18, 12), (20, 15), (24, 21)])
     def test_dual_of_a_wedge_is_a_contraction_of_the_dual(self, n, k):
-        # wedge reads the mirrored (k, 1) table, contract the (n-k-1, 1) table below n/2
+        # wedge reads the mirrored (k, 1) table; the rows of contract(e_i, *a) are
+        # laid out from the (n-k-1, 1) block-copy table below n/2
         rng = np.random.default_rng(n + k)
         a = KForm(n, k, rng.standard_normal(math.comb(n, k)))
-        v = from_vector(rng.standard_normal(n))
-        lhs, rhs = hodge(wedge(a, v)).coeffs, contract(v, hodge(a)).coeffs
+        v = rng.standard_normal(n)
+        lhs = hodge(wedge(a, from_vector(v))).coeffs
+        rhs = v @ forms._interior_rows(hodge(a).coeffs, n, n - k)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
 
     def test_cross_product_bridge(self):
