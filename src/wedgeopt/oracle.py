@@ -187,9 +187,9 @@ def oracle_value(system: ConstraintSystem, objective: Objective, t_star: float) 
     """t_star times the squared Gram-Schmidt scales times ||b_perp||^2.
 
     Computed as t_star * (b . raw) from oracle_direction, so, as objective_value,
-    it is refused when raw or the value is not representable.  Matches
-    objective_value up to the shared sign convention; negative of the maximum
-    for mode "min".
+    it is refused when raw or the value is not representable, and is zero for a
+    degenerate instance, whose ray is zero.  Matches objective_value up to the
+    shared sign convention; negative of the maximum for mode "min".
     """
     return _ray_value(oracle_direction, "oracle_value", system, objective, t_star)
 

@@ -158,13 +158,14 @@ def _solve_bytes(n: int, m: int) -> int:
 
     Every table built is kept: index lists and grade-1 ranks, 16 k C(n, k)
     bytes per grade k up to grade m (fold) or n - m (determinants, which
-    also gather every m x m minor).  The ray adds the n x C(n, m-1)
-    contractions, a few C(n, m)- and n x n-sized arrays, and 64 KiB.
+    also gather every m x m minor).  The ray adds the n x C(n, low - 1)
+    contractions of A (fold) or of *A (determinants), low = min(m, n - m),
+    a few C(n, m)- and n x n-sized arrays, and 64 KiB.
     """
-    top = math.comb(n, m)
-    tables = 16 * sum(k * math.comb(n, k) for k in range(1, min(m, n - m) + 1))
+    top, low = math.comb(n, m), min(m, n - m)
+    tables = 16 * sum(k * math.comb(n, k) for k in range(1, low + 1))
     minors = (8 * m * m + 32 * m + n) * top if 2 * m > n else 0
-    return tables + minors + 8 * n * math.comb(n, m - 1) + 64 * top + 32 * n * n + 2**16
+    return tables + minors + 8 * n * math.comb(n, low - 1) + 64 * top + 32 * n * n + 2**16
 
 
 def _check_shape(n: int, m: int) -> None:
@@ -190,19 +191,22 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     shape over the work budget is refused before anything is allocated, and
     minors that overflow are refused as non-finite.
     """
-    m, n = system.m, system.n
-    if m == 0:
+    if system.m == 0:
         raise DomainError("an unconstrained system has no constraint form")
+    return KForm(system.n, system.m, _wedge_rows(system.rows))
+
+
+def _wedge_rows(rows: np.ndarray) -> np.ndarray:
+    """`constraint_form`'s coefficients for m >= 1 rows, after the shape check."""
+    m, n = rows.shape
     _check_shape(n, m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if 2 * m <= n:
-            coeffs = system.rows[0]
-            for k, row in enumerate(system.rows[1:], 1):
+            coeffs = rows[0]
+            for k, row in enumerate(rows[1:], 1):
                 coeffs = _product(coeffs, row, *_table(n, k, 1))
-        else:
-            submatrices = np.transpose(system.rows[:, _combos(n, m)], (1, 0, 2))
-            coeffs = np.linalg.det(submatrices)
-    return KForm(n, m, coeffs)
+            return coeffs
+        return np.linalg.det(np.transpose(rows[:, _combos(n, m)], (1, 0, 2)))
 
 
 def _power_of_two_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +227,9 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     this one, each scaled to unit norm, is above RANK_TOLERANCE; zero rows
     are never kept, and a non-finite entry is refused.  Real or complex
     rows, so the CLI prunes both kinds of problem by the rule the solve
-    applies.  When all rows pass together, every subset passes too (Cauchy
-    interlacing), so one SVD settles it.
+    applies.  Dropping rows never lowers the smallest singular value (Cauchy
+    interlacing), so the pass keeps every row exactly when all of them pass
+    together.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -232,18 +237,11 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     if not np.all(np.isfinite(rows)):
         raise DomainError("rows must have finite entries")
     rows = _power_of_two_scaled(rows)[0]
-    nonzero = rows.any(axis=1)
-
-    def passes(indices: list[int]) -> bool:
-        # svd returns min(rows, columns) values, so a wide stack needs this test
-        return len(indices) <= rows.shape[1] and _sigma_min(rows[indices]) > RANK_TOLERANCE
-
-    everything = list(range(rows.shape[0]))
-    if not everything or (nonzero.all() and passes(everything)):
-        return everything
     kept: list[int] = []
-    for i in everything:
-        if nonzero[i] and passes(kept + [i]):
+    for i, row in enumerate(rows):
+        if len(kept) == rows.shape[1]:
+            break  # n rows span R^n, and svd of more returns only n values
+        if row.any() and _sigma_min(rows[kept + [i]]) > RANK_TOLERANCE:
             kept.append(i)
     return kept
 
@@ -254,25 +252,14 @@ def _sigma_min(scaled: np.ndarray) -> float:
     return float(np.linalg.svd(unit_rows, compute_uv=False)[-1])
 
 
-def _full_rank_form(system: ConstraintSystem) -> KForm:
-    """Constraint form of a system with m >= 1, after the rank test."""
-    sigma = _sigma_min(system.scaled)
-    if not sigma > RANK_TOLERANCE:
-        raise RankDeficientError(
-            "constraint rows are linearly dependent; drop dependent rows "
-            "(for the CLI: --reduce-rows) and retry; the solver's smallest singular value "
-            f"of the unit rows is {sigma!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
-        )
-    return constraint_form(system)
-
-
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a vector, free of overflow and underflow in the squares."""
     return math.hypot(*x.tolist())
 
 
-def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
-    """P, the projector onto the null space of the rows of the m-form A, and ||A||^2.
+def _null_projector(coeffs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, float, int]:
+    """P, the projector onto the null space of the rows whose m-form A over
+    R^n has the coefficients `coeffs`, and ||A||^2.
 
     For a decomposable form F with rows contract(e_i, F) in C, C C^T is
     ||F||^2 times the projector onto the span of F's factors.  F is A, the
@@ -281,16 +268,18 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     divided by an exact power of two, 2^e, that brings its largest
     coefficient into [1/2, 1), so neither C C^T nor ||A||^2 over- or
     underflows; ||A||^2 is returned as s and 2e with ||A||^2 = s * 2^(2e),
-    the scale of the wedge path's ray in `_solve`.
+    the scale of the wedge path's ray in `_solve`.  A form with a non-finite
+    or no nonzero coefficient is refused.
     """
-    peak = float(np.max(np.abs(constraint.coeffs)))
-    if not 0.0 < peak < np.inf:
+    peak = float(np.max(np.abs(coeffs)))
+    if not peak < np.inf:  # NaN fails the comparison
+        raise DomainError("form coefficients must be finite")
+    if not peak:
         raise DomainError(
             f"the constraint form must be finite and nonzero; its largest coefficient is {peak!r}"
         )
-    n, m = constraint.n, constraint.k
     exponent = math.frexp(peak)[1]
-    coeffs = np.ldexp(constraint.coeffs, -exponent)
+    coeffs = np.ldexp(coeffs, -exponent)
     norm_sq = float(coeffs @ coeffs)
     if 2 * m > n:
         rows = _interior_rows(_dual(coeffs, n, m), n, n - m)
@@ -299,23 +288,18 @@ def _null_projector(constraint: KForm) -> tuple[np.ndarray, float, int]:
     return np.eye(n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
 
 
-def _scaled_ray(scale: float, e: int, perp: np.ndarray, ray: str, zero_ok: bool) -> np.ndarray:
-    """The ray scale * 2^e * perp, refused, as `ray`, when it overflows or,
-    unless `zero_ok`, when a nonzero perp underflows to zero."""
+def _scaled_ray(scale: float, e: int, perp: np.ndarray, ray: str) -> np.ndarray:
+    """The ray scale * 2^e * perp, refused, as `ray`, when it overflows or
+    when a nonzero perp underflows to zero."""
     with np.errstate(over="ignore"):  # an overflow is reported below
         raw = np.ldexp(scale * perp, e)
     peak = max(map(abs, raw.tolist()))
-    if not peak < math.inf or (not peak and perp.any() and not zero_ok):
+    if not peak < math.inf or (not peak and perp.any()):
         raise DomainError(
             f"the unnormalized ray {ray} is not representable: "
             f"its scale is {scale!r} * 2**{e}"
         )
     return raw
-
-
-def _value(x: float, shift: int) -> float:
-    """The objective value x * 2^shift, refused when it is not a finite double."""
-    return _ldexp_checked(x, shift, "the objective value")
 
 
 def _projection(system: ConstraintSystem, project: Callable) -> tuple:
@@ -352,7 +336,8 @@ def _solve(
     column of a matrix, to its null-space part, the ray's scale as
     scale * 2^exponent, and the ray's name for an error.  Everything else is
     decided here, once: m = 0 runs through the identity map with status
-    unconstrained, and a degenerate solve takes `_free_direction` of the map.
+    unconstrained, and a degenerate solve takes `_free_direction` of the map
+    and, its perp being rounding, the zero ray that matches its objective 0.
     """
     coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
     if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
@@ -366,19 +351,17 @@ def _solve(
     apply, scale, exponent, ray = _projection(system, project)
     perp = apply(b)
     perp_norm = _norm(perp)
-    degenerate = system.m > 0 and perp_norm <= coeff * _norm(b)
-    # the unconstrained ray is b itself, kept exact where b / 2^shift is subnormal;
-    # a degenerate perp is rounding, whose ray may underflow to zero
-    raw = _scaled_ray(scale, exponent + shift, perp, ray, degenerate) if system.m else objective.b
-    if degenerate:
-        return Solution(_free_direction(apply, system.n), raw, 0.0, SolveStatus.DEGENERATE)
+    if system.m and perp_norm <= coeff * _norm(b):
+        free = _free_direction(apply, system.n)
+        return Solution(free, np.zeros(system.n), 0.0, SolveStatus.DEGENERATE)
+    # the unconstrained ray is b itself, kept exact where b / 2^shift is subnormal
+    raw = _scaled_ray(scale, exponent + shift, perp, ray) if system.m else objective.b
     direction = perp / perp_norm
-    sigma = 1.0 if objective.mode == "max" else -1.0
-    if float(b @ direction) < 0.0:
-        sigma = -sigma
-    direction *= sigma
+    if (float(b @ direction) < 0.0) != (objective.mode == "min"):
+        direction = -direction
     status = SolveStatus.OPTIMAL if system.m else SolveStatus.UNCONSTRAINED
-    return Solution(direction, raw, _value(b @ direction, shift), status)
+    value = _ldexp_checked(b @ direction, shift, "the objective value")
+    return Solution(direction, raw, value, status)
 
 
 # The wedge path's ray; for one row a, A_form is a and this is |a|^2 b_perp.
@@ -386,10 +369,18 @@ _RAY = "||A_form||^2 * b_perp"
 
 
 def _project(system: ConstraintSystem) -> tuple:
-    """The wedge path's part of `_solve`: the map x -> P(P x), ||A_form||^2 as
-    s * 2^(2e) and the ray's name.  P is applied twice: one pass leaves
-    rounding of about eps ||x|| in the row span, the second removes it."""
-    projector, norm_sq, exponent = _null_projector(_full_rank_form(system))
+    """The wedge path's part of `_solve`: its rank test, the map x -> P(P x),
+    ||A_form||^2 as s * 2^(2e) and the ray's name.  P is applied twice: one
+    pass leaves rounding of about eps ||x|| in the row span, the second
+    removes it."""
+    sigma = _sigma_min(system.scaled)
+    if not sigma > RANK_TOLERANCE:
+        raise RankDeficientError(
+            "constraint rows are linearly dependent; drop dependent rows "
+            "(for the CLI: --reduce-rows) and retry; the solver's smallest singular value "
+            f"of the unit rows is {sigma!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
+        )
+    projector, norm_sq, exponent = _null_projector(_wedge_rows(system.rows), system.n, system.m)
     return lambda x: projector @ (projector @ x), norm_sq, exponent, _RAY
 
 
@@ -404,8 +395,8 @@ def optimal_direction(
     Otherwise the null-space part of b is normalized; its sign is chosen so
     the objective is non-negative for mode "max" and non-positive for "min".
     When the ray vanishes (objective inside the row span) the returned
-    direction is an arbitrary but deterministic feasible unit vector and
-    the objective value is zero.
+    direction is an arbitrary but deterministic feasible unit vector, and
+    the objective value and the ray `raw` are zero.
 
     `tolerance` overrides the relative degeneracy coefficient
     (default DEGENERACY_TOLERANCE); it must be finite and positive.  b is
@@ -426,9 +417,10 @@ def _ray_value(
     if system.m == 0:
         raise DomainError(f"{name} needs at least one constraint row")
     raw = solve(system, objective).raw
-    with np.errstate(over="ignore", invalid="ignore"):  # _value refuses a non-finite value
-        value = _value(float(t_star) * float(objective.b @ raw), 0)
-    return value if objective.mode == "max" else -value
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
+        value = _ldexp_checked(float(t_star) * float(objective.b @ raw), 0, "the objective value")
+    # 0.0 - value, not -value, so that the zero value of a degenerate instance stays +0.0
+    return value if objective.mode == "max" else 0.0 - value
 
 
 def objective_value(system: ConstraintSystem, objective: Objective, t_star: float) -> float:
@@ -436,7 +428,8 @@ def objective_value(system: ConstraintSystem, objective: Objective, t_star: floa
 
     Non-negative for mode "max"; the matching minimum is the negative.
     For a single 3-d constraint row this equals
-    t_star * (||a||^2 ||b||^2 - (a . b)^2).
+    t_star * (||a||^2 ||b||^2 - (a . b)^2).  A degenerate instance's ray is
+    zero, so its value is exactly zero.
     """
     return _ray_value(optimal_direction, "objective_value", system, objective, t_star)
 
@@ -458,7 +451,7 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     if not (a.any() and b.any()):
         raise DomainError("inputs must be nonzero vectors")
     (a, b), (ea, eb) = _power_of_two_scaled(np.array([a, b]))
-    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)), _RAY, zero_ok=False)
+    return _scaled_ray(1.0, 2 * ea + eb, np.cross(a, np.cross(b, a)), _RAY)
 
 
 def degenerate_direction(system: ConstraintSystem) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from exact import exact_direction, exact_ratio
@@ -499,6 +499,43 @@ class TestExactReference:
         path.write_text(json.dumps(ITEM_ONE))
         assert cli.main(["--input", str(path), "--check"]) == 2
         assert "direction agreement too low" in capsys.readouterr().err
+
+
+@st.composite
+def near_threshold_problems(draw):
+    """Rows and an objective in R^n, n <= 8, near both thresholds: the last
+    row within 10^U(-10, -3) of the other rows' span, and b within
+    10^U(-12, -3) of the row span."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(2, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, n))
+    rows[-1] = rng.standard_normal(m - 1) @ rows[:-1] + 10 ** rng.uniform(-10, -3) * rows[-1]
+    b = rng.standard_normal(m) @ rows + 10 ** rng.uniform(-12, -3) * rng.standard_normal(n)
+    return rows, b, draw(st.sampled_from(["max", "min"]))
+
+
+class TestNearThresholds:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: near both thresholds the wedge path can return an "
+        "optimal direction far from the exact one, ITEM_ONE's negated",
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @example(problem=(ITEM_ONE["A"], ITEM_ONE["B"], "max"))
+    @given(near_threshold_problems())
+    def test_every_optimal_solve_is_near_the_exact_direction(self, problem):
+        # a refusal, or any status but optimal, passes
+        rows, b, mode = problem
+        expected = exact_direction(rows, b)
+        assume(expected is not None)
+        try:
+            solution = optimal_direction(ConstraintSystem(rows), Objective(b, mode))
+        except (DomainError, RankDeficientError):
+            return
+        if solution.status is SolveStatus.OPTIMAL:
+            sign = 1.0 if mode == "max" else -1.0
+            assert sign * float(solution.direction @ expected) >= 1.0 - 1e-6
 
 
 @st.composite

@@ -451,7 +451,7 @@ class TestNullProjector:
         for n, m in shapes:
             system = random_system(rng, n, m)
             form = constraint_form(system)
-            projector, norm_sq, exponent = wedgeopt.solver._null_projector(form)
+            projector, norm_sq, exponent = wedgeopt.solver._null_projector(form.coeffs, n, m)
             unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
             assert np.max(np.abs(projector @ unit_rows.T)) <= 1e-12
             assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
@@ -461,6 +461,13 @@ class TestNullProjector:
     def test_fallback_without_a_free_axis_is_a_domain_error(self):
         with pytest.raises(DomainError, match="largest is 0.0"):
             wedgeopt.solver._free_direction(lambda x: 0.0 * x, 3)
+
+    def test_overflowing_constraint_form_is_a_domain_error(self):
+        # the minors of three rows of size about 2^600 overflow, fold and det alike
+        for n in (6, 4):
+            system = ConstraintSystem(np.ldexp(np.eye(3, n) + 0.5, 600))
+            with pytest.raises(DomainError, match="^form coefficients must be finite$"):
+                optimal_direction(system, Objective(np.ones(n)))
 
     def test_zero_constraint_form_is_a_domain_error(self):
         # Three rows of size 2^-400 pass validation, but their minors underflow.
@@ -569,7 +576,8 @@ class TestSolveMemory:
         assert self.cold_peak_mb(n, m) < 5.0
 
     @pytest.mark.parametrize(
-        "n, m", [(16, 8), (18, 9), (20, 10), (32, 4), (32, 5), (10, 9), (24, 22)]
+        "n, m",
+        [(16, 8), (18, 9), (20, 10), (32, 4), (32, 5), (10, 9), (24, 22), (20, 14), (22, 16)],
     )
     def test_estimate_covers_cold_peak(self, n, m):
         # fold shapes up to 2m = n, where the estimate is tightest, and det shapes
@@ -824,7 +832,7 @@ class TestPathsRunAlone:
             self.check(system, objective, status, solution, value, degenerate_direction(system))
 
     def test_oracle_runs_without_the_solver(self, monkeypatch):
-        names = ["_sigma_min", "_null_projector", "constraint_form", "_project"]
+        names = ["_sigma_min", "_null_projector", "constraint_form", "_wedge_rows", "_project"]
         self.refuse_all(monkeypatch, wedgeopt.solver, names)
         for system, objective, status in self.instances():
             value = oracle_value(system, objective, 1.0) if system.m else None
@@ -842,6 +850,18 @@ class TestPathsRunAlone:
             value = oracle_value(system, objective, 1.0) if system.m else None
             solution = oracle_direction(system, objective)
             self.check(system, objective, status, solution, value, sample_feasible(system, 5))
+
+    def test_solver_builds_no_form(self, monkeypatch):
+        # the wedge path solves on bare coefficient arrays; only the public
+        # constraint_form wraps them in a KForm
+        def refuse(self):
+            raise AssertionError("a solve built a KForm")
+
+        monkeypatch.setattr(wedgeopt.forms.KForm, "__post_init__", refuse)
+        for system, objective, status in self.instances():
+            value = objective_value(system, objective, 1.0) if system.m else None
+            solution = optimal_direction(system, objective)
+            self.check(system, objective, status, solution, value, degenerate_direction(system))
 
 
 class TestSharedRules:
@@ -868,6 +888,47 @@ class TestSharedRules:
             assert fast.status is slow.status is SolveStatus.DEGENERATE
             assert np.max(np.abs(fast.direction - slow.direction)) <= 1e-12
             assert np.array_equal(degenerate_direction(system), fast.direction)
+
+
+class TestDegenerateRay:
+    """A degenerate solve's perp is rounding, so both paths return the zero
+    ray, and its value is exactly 0, as its objective is."""
+
+    @staticmethod
+    def instances():
+        """Objectives in the row span: the random 3x6 system from
+        default_rng(1), the same rows times 2^200, where a ray built from the
+        rounding in perp would overflow, and fold (2m <= n) and det (2m > n)
+        shapes."""
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((3, 6))
+        b = rng.standard_normal(3) @ rows
+        cases = [(ConstraintSystem(rows), b), (ConstraintSystem(np.ldexp(rows, 200)), b)]
+        rng = np.random.default_rng(50)
+        for n, m in [(7, 2), (8, 4), (4, 3), (9, 8)]:
+            system = random_system(rng, n, m)
+            cases.append((system, span_combination(rng, system.rows)))
+        return cases
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_ray_and_values_are_zero(self, mode):
+        for system, b in self.instances():
+            objective = Objective(b, mode)
+            for solve in (optimal_direction, oracle_direction):
+                solution = solve(system, objective)
+                assert solution.status is SolveStatus.DEGENERATE and solution.objective == 0.0
+                assert np.array_equal(solution.raw, np.zeros(system.n))
+            for value in (objective_value, oracle_value):
+                assert math.copysign(1.0, value(system, objective, 1.0)) == 1.0  # +0.0
+                assert value(system, objective, 1.0) == 0.0
+
+    def test_complex_ray_is_zero(self):
+        rng = np.random.default_rng(51)
+        rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        b = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) @ rows
+        solution = solve_complex(ComplexProblem(rows, b))
+        assert solution.status is SolveStatus.DEGENERATE
+        assert np.array_equal(solution.raw, np.zeros(4, dtype=complex))
 
 
 class TestScaledOnce:
