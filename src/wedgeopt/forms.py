@@ -13,14 +13,16 @@ grade-(k+l) index and every split of its slots, the ranks of the two parts
 and the sign.  A contraction is the product contract(a, c) =
 (-1)^(kl + l(n-l)) *(a ^ *c), k and l the grades of a and the result, on a
 table as large as its adjoint's: C(n, l) C(n-l, k) = C(n, k+l) C(k+l, k).
-Only the grade-1 tables are built directly, each below grade n/2 by block copies of the one a grade down,
-and each from n/2 up as a mirror of the one below its dual grade; every
-other split table is composed from them.  A solve of m rows uses the
-(k, 1) tables for k < min(m, n - m) only.  When 2m <= n the ones for k < m
-fold the rows into an m-form, and the (m-1, 1) one lays out the
-contractions of that form by each basis vector as the rows of one
-n x C(n, m-1) array; when 2m > n the (n-m-1, 1) one lays out those of its
-Hodge dual.
+Only the grade-1 tables are built directly, each below grade n/2 by block
+copies of the one a grade down, and each from n/2 up as a mirror of the one
+below its dual grade; every other split table is composed from them.  A
+solve of m rows, low = min(m, n - m), builds the (k, 1) tables for
+k < low only.  When 2m <= n they fold the rows into an m-form, and the
+(m-1, 1) one lays out the contractions of that form by each basis vector as
+the rows of one n x C(n, m-1) array; when 2m > n the (n-m-1, 1) one lays
+out those of its Hodge dual.  Past `_BLOCK_MIN` the fold's last wedge and
+the layout read the (low-1, 1) table block by block off the (low-2, 1)
+one (`_block_slots`), so the largest table of the solve is never built.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ __all__ = [
 _MAX_DIMENSION = 64
 # Largest estimated peak, in bytes, of one operation; a larger one is refused
 # before it allocates.  On a host with 8 GB of memory the cold 32x8 solve
-# completes at a 2.8 GB tracemalloc peak (estimate 3.1 GiB), while 26x13
-# (estimate 9.0 GiB) runs out of memory even under a 5.5 GB limit; the
-# budget lies between the two.
+# completed at a 2.8 GB tracemalloc peak (estimate 3.1 GiB) while it still
+# built its (7, 1) table, and 26x13 (estimate 9.0 GiB then, 7.0 GiB on
+# blocks) ran out of memory even under a 5.5 GB limit; the budget lies
+# between the two.
 _WORK_BUDGET = 4 * 2**30
 
 
@@ -258,17 +261,78 @@ def _product(a: np.ndarray, b: np.ndarray, *table: np.ndarray) -> np.ndarray:
     return out
 
 
+# From this average block size C(n, k) / (n - k + 1) of the grade-k indices
+# up, a solve's grade-k steps, the last wedge of the fold and the layout of
+# the contractions, run block by block on the (k-2, 1) table, and the
+# (k-1, 1) table, the largest a solve would build, is never built.  Warm
+# solves on blocks against tables (interleaved medians, 2 cores): 1.18 to
+# 1.34 times as long at averages 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12 at
+# 2125-2431 (24x5, 17x8), 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold
+# solves on blocks are faster at every shape.
+_BLOCK_MIN = 3000
+
+
+def _by_blocks(n: int, k: int) -> bool:
+    """Whether the grade-k steps of a solve run block by block (`_BLOCK_MIN`), k >= 2."""
+    return k > 1 and math.comb(n, k) >= _BLOCK_MIN * (n - k + 1)
+
+
+def _block_slots(n: int, k: int):
+    """(j, block, tail, targets, rank, offset) for each block of the grade-k indices, k >= 2.
+
+    The indices T at `block` are j followed by the (k-1)-tuples from `tail`
+    on (see `_blocks`): slot 0 holds j and leaves those tuples, a slice.
+    Over the block, targets[p - 1] is the element in slot p >= 1 and
+    rank[p - 1] + offset the rank of T without it: the (k-1, 1) table's rows
+    1: over `block`, read off the (k-2, 1) table as `_grade1_table` builds
+    them.  Callers index them one slot at a time: numpy's 1-d gathers and
+    scatters are faster than its 2-d ones.
+    """
+    lower_targets, lower_rank, _ = _grade1_table(n, k - 2)
+    for (j, block, tail), (_, home, lower_tail) in zip(_blocks(n, k), _blocks(n, k - 1)):
+        yield j, block, tail, lower_targets[:, tail:], lower_rank[:, tail:], home.start - lower_tail
+
+
+def _wedge_blocks(a: np.ndarray, v: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Coefficients of (k-form a) ^ (vector v), k >= 1, one target block at a
+    time (`_block_slots`), without the (k, 1) table.
+
+    Each block adds its slots' signed terms in slot order, as `_product`'s
+    per-slot loop does, so the result is bit-identical to that loop.
+    """
+    out = np.zeros(math.comb(n, k + 1))
+    for j, block, tail, targets, rank, offset in _block_slots(n, k + 1):
+        part = out[block]
+        for p in range(k + 1):
+            term = a[rank[p - 1] + offset] * v[targets[p - 1]] if p else a[tail:] * v[j]
+            if (k - p) % 2:
+                part -= term
+            else:
+                part += term
+    return out
+
+
 def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
     """n x C(n, k-1) array whose row i is contract(e_i, k-form a), for k >= 1.
 
     Coefficient J of contract(e_i, a) is (-1)^p a_T, where T is J with i
     inserted at slot p; the (k-1, 1) grade-1 table lists every such (T, p)
-    with T_p and the rank of J, so a is scattered once per slot.
+    with T_p and the rank of J, so a is scattered once per slot.  When
+    `_by_blocks(n, k)` the table is not built: each block of a (see
+    `_block_slots`) is copied to row j, columns tail:, for slot 0, and
+    scattered once per slot above it.
     """
-    targets, rank, _ = _grade1_table(n, k - 1)
     cols = math.comb(n, k - 1)
     out = np.zeros(n * cols)  # row i, column J at i * cols + J
     negated = -a
+    if _by_blocks(n, k):
+        grid = out.reshape(n, cols)
+        for j, block, tail, targets, rank, offset in _block_slots(n, k):
+            grid[j, tail:] = a[block]
+            for p in range(1, k):
+                out[targets[p - 1] * cols + rank[p - 1] + offset] = (negated if p % 2 else a)[block]
+        return grid
+    targets, rank, _ = _grade1_table(n, k - 1)
     for p in range(k):
         out[targets[p] * cols + rank[p]] = negated if p % 2 else a
     return out.reshape(n, cols)

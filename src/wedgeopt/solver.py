@@ -8,7 +8,11 @@ where row i of the n x C(n, m-1) array C is contract(e_i, A), so
 P = I - C C^T / ||A||^2 and no solve forms A ^ b or any other form above
 grade m.  When 2m > n, P = C' C'^T / ||A||^2 is read off the Hodge dual *A
 of grade n - m instead, row i of C' being contract(e_i, *A), so no solve
-builds a grade-1 table at grade min(m, n - m) or above.  For one row in R^3
+builds a grade-1 table at grade low = min(m, n - m) or above.  Past
+`forms._BLOCK_MIN` the fold's last wedge and the layout of C or C' run
+block by block on the (low-2, 1) table, and the (low-1, 1) table, the
+largest, is not built either; the choice depends only on the shape, and
+both ways give bit-identical results.  For one row in R^3
 this is the paper's triple product a x (b x a) = |a|^2 b - (a . b) a.  The
 ray applies P twice, which removes the rounding the first pass leaves in
 the row span; ||A||^2 times it is the paper's double dual
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficientError
 from .forms import KForm, _check_dimension, _check_work, _combos, _dual, _freeze
-from .forms import _interior_rows, _ldexp_checked, _product, _table
+from .forms import _by_blocks, _interior_rows, _ldexp_checked, _product, _table, _wedge_blocks
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -156,14 +160,19 @@ class Solution:
 def _solve_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak bytes of a cold solve of m >= 1 rows in R^n.
 
-    Every table built is kept: index lists and grade-1 ranks, 16 k C(n, k)
-    bytes per grade k up to grade m (fold) or n - m (determinants, which
-    also gather every m x m minor).  The ray adds the n x C(n, low - 1)
-    contractions of A (fold) or of *A (determinants), low = min(m, n - m),
-    a few C(n, m)- and n x n-sized arrays, and 64 KiB.
+    The tables a solve builds are kept: index lists and grade-1 ranks,
+    16 k C(n, k) bytes per grade k below low = min(m, n - m), and at grade
+    low as many again, unless the grade-low steps run on blocks
+    (`_by_blocks`): then a fold builds nothing at grade low and the
+    determinants, which also gather every m x m minor, its index list only.
+    The ray adds the n x C(n, low - 1) contractions of A (fold) or of *A
+    (determinants), a few C(n, m)- and n x n-sized arrays, and 64 KiB.
     """
     top, low = math.comb(n, m), min(m, n - m)
-    tables = 16 * sum(k * math.comb(n, k) for k in range(1, low + 1))
+    # the grade-low index list and (low - 1, 1) ranks, 8 low C(n, low) bytes each
+    at_low = 2 if not _by_blocks(n, low) else 1 if 2 * m > n else 0
+    tables = 16 * sum(k * math.comb(n, k) for k in range(1, low))
+    tables += 8 * at_low * low * math.comb(n, low)
     minors = (8 * m * m + 32 * m + n) * top if 2 * m > n else 0
     return tables + minors + 8 * n * math.comb(n, low - 1) + 64 * top + 32 * n * n + 2**16
 
@@ -184,7 +193,8 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     kernel that `wedge` uses: no intermediate form is larger than the
     result, with C(n, m) coefficients, and the tables hold about
     2 sum_{k<=m} C(n, k) k entries, fewer than the C(n, m) m^2 of a gather
-    of every minor.  When 2m > n the fold would pass through grade n/2,
+    of every minor; past `forms._BLOCK_MIN` the last wedge runs on blocks
+    and the sum stops at k = m - 1.  When 2m > n the fold would pass through grade n/2,
     with C(n, n/2) coefficients against C(n, m) minors, so the minors are
     evaluated directly as a batch of determinants, whose only tables are the
     index lists up to grade m.  The choice depends only on the shape.  A
@@ -204,6 +214,8 @@ def _wedge_rows(rows: np.ndarray) -> np.ndarray:
         if 2 * m <= n:
             coeffs = rows[0]
             for k, row in enumerate(rows[1:], 1):
+                if k == m - 1 and _by_blocks(n, m):
+                    return _wedge_blocks(coeffs, row, n, k)
                 coeffs = _product(coeffs, row, *_table(n, k, 1))
             return coeffs
         return np.linalg.det(np.transpose(rows[:, _combos(n, m)], (1, 0, 2)))

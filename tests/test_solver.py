@@ -386,35 +386,74 @@ class TestOptimalDirection:
     def test_solve_uses_tables_only_up_to_grade_m(self, monkeypatch):
         # The ray reads the (m-1, 1) table that the fold already built, or when
         # 2m > n the (n-m-1, 1) table of the dual: no solve builds a grade-1 table
-        # at grade min(m, n - m) or above, or any index array above grade m, and
-        # the solver forms no product of A with b.
+        # at grade low = min(m, n - m) or above, or any index array above grade m,
+        # and the solver forms no product of A with b.  Past _BLOCK_MIN the
+        # grade-low steps run on blocks of the (low-2, 1) table, so the (low-1, 1)
+        # table is not built either, nor, on the fold, the index list of grade m.
+        # Each shape's ceiling: (table grades below, index list grades up to).
         grade_one_table, combos = wedgeopt.forms._grade1_table, wedgeopt.forms._combos
         assert not hasattr(wedgeopt.solver, "wedge")
         assert not hasattr(wedgeopt.solver, "contract")
         rng = np.random.default_rng(47)
-        shapes = [(3, 1), (8, 4), (12, 3), (7, 5), (10, 9), (9, 6), (16, 9), (20, 14)]
-        for n, m in shapes:
+        shapes = {
+            (3, 1): (1, 1),
+            (8, 4): (4, 4),
+            (12, 3): (3, 3),
+            (7, 5): (2, 5),
+            (10, 9): (1, 9),
+            (9, 6): (3, 6),
+            (16, 9): (7, 9),
+            (20, 14): (6, 14),
+            (18, 9): (8, 8),
+            (22, 16): (5, 16),
+        }
+        for (n, m), (tables_below, combos_up_to) in shapes.items():
+            low = min(m, n - m)
+            blocks = math.comb(n, low) >= wedgeopt.forms._BLOCK_MIN * (n - low + 1)
+            assert tables_below == low - blocks
+            assert combos_up_to == m - (blocks and 2 * m <= n)
 
-            def table_below_m(n_, k):
-                if k >= min(m, n - m):
+            def table_below(n_, k):
+                if k >= tables_below:
                     raise AssertionError(f"a solve with n={n}, m={m} built the ({k}, 1) table")
                 return grade_one_table(n_, k)
 
-            def combos_up_to_m(n_, k):
-                if k > m:
-                    raise AssertionError(f"a solve with m={m} enumerated grade {k}")
+            def combos_up_to_ceiling(n_, k):
+                if k > combos_up_to:
+                    raise AssertionError(f"a solve with n={n}, m={m} enumerated grade {k}")
                 return combos(n_, k)
 
             system, objective = random_instance(rng, n, m)
             spanned = Objective(span_combination(rng, system.rows))
+            wedgeopt.forms._clear_caches()
             with monkeypatch.context() as patch:
-                patch.setattr(wedgeopt.forms, "_grade1_table", table_below_m)
-                patch.setattr(wedgeopt.forms, "_combos", combos_up_to_m)
-                patch.setattr(wedgeopt.solver, "_combos", combos_up_to_m)
+                patch.setattr(wedgeopt.forms, "_grade1_table", table_below)
+                patch.setattr(wedgeopt.forms, "_combos", combos_up_to_ceiling)
+                patch.setattr(wedgeopt.solver, "_combos", combos_up_to_ceiling)
                 assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
                 assert optimal_direction(system, spanned).status is SolveStatus.DEGENERATE
                 assert objective_value(system, objective, 1.0) > 0.0
                 assert np.linalg.norm(degenerate_direction(system)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "n, m", [(4, 2), (7, 3), (9, 4), (10, 5), (12, 6), (13, 5), (5, 4), (9, 6), (10, 7), (12, 8)]
+    )
+    def test_blocks_are_bit_identical_to_the_per_slot_table_loop(self, monkeypatch, n, m):
+        # the fold's last wedge and the layout of the contractions of A, or of *A
+        # when 2m > n, on blocks and on the table's per-slot loop (not the 2-d
+        # whole-table product, whose BLAS sums in another order)
+        rows = np.random.default_rng(n * 100 + m).standard_normal((m, n))
+        low = min(m, n - m)
+        monkeypatch.setattr(wedgeopt.forms, "_WHOLE_TABLE_MAX", 0)
+        results = []
+        for block_min in (math.inf, 0):
+            monkeypatch.setattr(wedgeopt.forms, "_BLOCK_MIN", block_min)
+            coeffs = wedgeopt.solver._wedge_rows(rows)
+            form = coeffs if 2 * m <= n else wedgeopt.forms._dual(coeffs, n, m)
+            results.append((coeffs, wedgeopt.forms._interior_rows(form, n, low)))
+        (table_coeffs, table_rows), (block_coeffs, block_rows) = results
+        assert np.array_equal(table_coeffs, block_coeffs)
+        assert np.array_equal(table_rows, block_rows)
 
     def test_rank_rule_ignores_per_row_scale(self):
         # Gram-Schmidt against the running row scale calls these rows dependent;
@@ -571,6 +610,11 @@ class TestSolveMemory:
     def test_half_shape_peak(self):
         assert self.cold_peak_mb(18, 9) < 70.0
 
+    def test_half_shape_builds_no_top_table(self):
+        # 18x9 runs its last wedge and its layout on blocks: neither the (8, 1)
+        # table nor _combos(18, 9), 7.0 MB together, is built (26.4 MB with them)
+        assert self.cold_peak_mb(18, 9) < 21.0
+
     @pytest.mark.parametrize("n, m", [(24, 22), (32, 31)])
     def test_tall_shape_peak(self, n, m):
         assert self.cold_peak_mb(n, m) < 5.0
@@ -603,8 +647,9 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("n, m", [(32, 8), (24, 12), (32, 7)])
     def test_largest_solved_shapes_accepted(self, n, m):
-        # Not solved here: they complete on an 8 GB host, at tracemalloc peaks of
-        # about 2.8, 2.1 and 0.8 GB.
+        # Not solved here: they completed on an 8 GB host, at tracemalloc peaks of
+        # about 2.8, 2.1 and 0.8 GB, when they still built their (low - 1, 1) tables;
+        # on blocks they are estimated at 1.9, 1.6 and 0.5 GiB.
         wedgeopt.solver._check_shape(n, m)
 
     def test_wide_shape_solves_without_environment(self, monkeypatch):
@@ -763,24 +808,6 @@ class TestIndependentOfOracle:
         with pytest.raises(RankDeficientError):
             objective_value(dependent, Objective([0, 1.0, 0]), 1.0)
 
-    def test_oracle_runs_without_the_solver_fallback(self, monkeypatch):
-        import wedgeopt.oracle
-        import wedgeopt.solver
-
-        def refuse(*args):
-            raise AssertionError("the oracle called one of the solver's own steps")
-
-        steps = ["_sigma_min", "_null_projector", "constraint_form", "_project"]
-        for name in ["degenerate_direction", *steps]:
-            monkeypatch.setattr(wedgeopt.solver, name, refuse)
-        monkeypatch.setattr(wedgeopt.oracle, "degenerate_direction", refuse, raising=False)
-        rng = np.random.default_rng(46)
-        system, _ = random_instance(rng, 5, 2)
-        solution = oracle_direction(system, Objective(span_combination(rng, system.rows)))
-        assert solution.status is SolveStatus.DEGENERATE
-        assert relative_residual(system.rows, solution.direction) <= 1e-10
-        assert np.max(np.abs(solution.direction - null_space_axis(system.rows))) <= 1e-12
-
 
 class TestPathsRunAlone:
     """Each path's rank test, projection map and ray scale run with the other
@@ -833,7 +860,10 @@ class TestPathsRunAlone:
 
     def test_oracle_runs_without_the_solver(self, monkeypatch):
         names = ["_sigma_min", "_null_projector", "constraint_form", "_wedge_rows", "_project"]
-        self.refuse_all(monkeypatch, wedgeopt.solver, names)
+        self.refuse_all(monkeypatch, wedgeopt.solver, [*names, "degenerate_direction"])
+        # and the same refusal under the oracle's name, should it import the rule
+        refused = wedgeopt.solver.degenerate_direction
+        monkeypatch.setattr(wedgeopt.oracle, "degenerate_direction", refused, raising=False)
         for system, objective, status in self.instances():
             value = oracle_value(system, objective, 1.0) if system.m else None
             solution = oracle_direction(system, objective)
