@@ -808,6 +808,24 @@ class TestIndependentOfOracle:
         with pytest.raises(RankDeficientError):
             objective_value(dependent, Objective([0, 1.0, 0]), 1.0)
 
+    def test_oracle_runs_without_the_solver_fallback(self, monkeypatch):
+        import wedgeopt.oracle
+        import wedgeopt.solver
+
+        def refuse(*args):
+            raise AssertionError("the oracle called one of the solver's own steps")
+
+        steps = ["_sigma_min", "_null_projector", "constraint_form", "_project"]
+        for name in ["degenerate_direction", *steps]:
+            monkeypatch.setattr(wedgeopt.solver, name, refuse)
+        monkeypatch.setattr(wedgeopt.oracle, "degenerate_direction", refuse, raising=False)
+        rng = np.random.default_rng(46)
+        system, _ = random_instance(rng, 5, 2)
+        solution = oracle_direction(system, Objective(span_combination(rng, system.rows)))
+        assert solution.status is SolveStatus.DEGENERATE
+        assert relative_residual(system.rows, solution.direction) <= 1e-10
+        assert np.max(np.abs(solution.direction - null_space_axis(system.rows))) <= 1e-12
+
 
 class TestPathsRunAlone:
     """Each path's rank test, projection map and ray scale run with the other
