@@ -20,9 +20,11 @@ solve of m rows, low = min(m, n - m), builds the (k, 1) tables for
 k < low only.  When 2m <= n they fold the rows into an m-form, and the
 (m-1, 1) one lays out the contractions of that form by each basis vector as
 the rows of one n x C(n, m-1) array; when 2m > n the (n-m-1, 1) one lays
-out those of its Hodge dual.  Past `_BLOCK_MIN` the fold's last wedge and
-the layout read the (low-1, 1) table block by block off the (low-2, 1)
-one (`_block_slots`), so the largest table of the solve is never built.
+out those of its Hodge dual.  The block rule: past `_BLOCK_MIN`, any (k, 1)
+product, the library's `wedge` included, and the layout of the contractions
+of a (k+1)-form read the (k, 1) table block by block off the (k-1, 1) one
+(`_block_slots`), bit-identical to its per-slot loop, and never build it;
+so a solve never builds its largest table, the (low-1, 1) one.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ _WORK_BUDGET = 4 * 2**30
 def _check_dimension(n: int) -> None:
     if not 1 <= n <= _MAX_DIMENSION:
         raise DomainError(f"ambient dimension must lie in [1, {_MAX_DIMENSION}], got {n}")
+
+
+def _integer(value: object, name: str) -> int:
+    """`value` as an int: any integer, numpy's included; a bool or any other
+    value is refused, naming the argument `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _check_work(nbytes: int, what: str) -> None:
@@ -161,12 +171,10 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Every table but k = 0 is built from one below n/2, built first, so the
     work check counts the whole chain.  When 1 <= k < n/2 the ranks are
-    block copies of the (k-1, 1) table: over the targets (i, S) of one block
-    (see `_blocks`), S running over a tail of the grade-k indices, rank[0]
-    is the rank of S, an arange over that tail; rank[1:] is the (k-1, 1)
-    table's rank over the same tail, moved from the (k-1)-tuples above i to
-    the k-tuples that start with i.  When 2k >= n they are a scatter of its
-    dual, the (n-k-1, 1) table: each of its (U, p) gives the target
+    block copies of the (k-1, 1) table: over a block (see `_block_slots`),
+    rank[0] is an arange over its tail and rank[1:] the (k-1, 1) ranks over
+    it plus the offset.  When 2k >= n they are a scatter of its dual, the
+    (n-k-1, 1) table: each of its (U, p) gives the target
     T = (U without U_p)^c, of rank C(n,k+1) - 1 - rank(U without U_p), whose
     slot U_p - p holds U_p and leaves U^c, of rank C(n,k) - 1 - rank(U).
     """
@@ -180,11 +188,9 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         slots = dual_targets - np.arange(low + 1)[:, None]
         rank[slots, math.comb(n, k + 1) - 1 - dual_rank] = np.arange(math.comb(n, k))[::-1]
     elif k:
-        _, lower, _ = _grade1_table(n, low)
-        # (i, R), R a (k-1)-tuple at `lower_tail` + j, is the k-tuple at `home.start` + j
-        for (_, block, tail), (_, home, lower_tail) in zip(_blocks(n, k + 1), _blocks(n, k)):
+        for _, block, tail, _, lower, offset in _block_slots(n, k + 1):
             rank[0, block] = np.arange(tail, math.comb(n, k))
-            np.add(lower[:, tail:], home.start - lower_tail, out=rank[1:, block])
+            np.add(lower, offset, out=rank[1:, block])
     sign = np.where((k - np.arange(k + 1)) % 2 == 0, 1.0, -1.0)
     rank.flags.writeable = False
     sign.flags.writeable = False
@@ -245,35 +251,20 @@ def _table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _WHOLE_TABLE_MAX = 2048
 
 
-def _product(a: np.ndarray, b: np.ndarray, *table: np.ndarray) -> np.ndarray:
-    """Coefficients of (k-form a) ^ (l-form b), on bare arrays; `table` is _table(n, k, l)."""
-    k_rank, l_rank, sign = table
-    if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
-        return sign @ (a[k_rank] * b[l_rank])
-    out = np.zeros(k_rank.shape[1])
-    for p in range(sign.shape[0]):
-        term = a[k_rank[p]]
-        term *= b[l_rank[p]]
-        if sign[p] > 0:
-            out += term
-        else:
-            out -= term
-    return out
-
-
 # From this average block size C(n, k) / (n - k + 1) of the grade-k indices
-# up, a solve's grade-k steps, the last wedge of the fold and the layout of
-# the contractions, run block by block on the (k-2, 1) table, and the
-# (k-1, 1) table, the largest a solve would build, is never built.  Warm
-# solves on blocks against tables (interleaved medians, 2 cores): 1.18 to
-# 1.34 times as long at averages 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12 at
-# 2125-2431 (24x5, 17x8), 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold
-# solves on blocks are faster at every shape.
+# up, the grade-k steps run by the block rule of the module docstring: any
+# (k-1, 1) product, the library's `wedge` included, and the layout of the
+# contractions of a k-form.  Warm solves on blocks against tables
+# (interleaved medians, 2 cores): 1.18 to 1.34 times as long at averages
+# 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12 at 2125-2431 (24x5, 17x8),
+# 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold solves on blocks are faster
+# at every shape.
 _BLOCK_MIN = 3000
 
 
 def _by_blocks(n: int, k: int) -> bool:
-    """Whether the grade-k steps of a solve run block by block (`_BLOCK_MIN`), k >= 2."""
+    """Whether the grade-k steps run by the block rule (`_BLOCK_MIN`), k >= 2:
+    any (k-1, 1) product, the library's `wedge` included, and a layout."""
     return k > 1 and math.comb(n, k) >= _BLOCK_MIN * (n - k + 1)
 
 
@@ -284,7 +275,7 @@ def _block_slots(n: int, k: int):
     on (see `_blocks`): slot 0 holds j and leaves those tuples, a slice.
     Over the block, targets[p - 1] is the element in slot p >= 1 and
     rank[p - 1] + offset the rank of T without it: the (k-1, 1) table's rows
-    1: over `block`, read off the (k-2, 1) table as `_grade1_table` builds
+    1: over `block`, read off the (k-2, 1) table, as `_grade1_table` builds
     them.  Callers index them one slot at a time: numpy's 1-d gathers and
     scatters are faster than its 2-d ones.
     """
@@ -293,22 +284,36 @@ def _block_slots(n: int, k: int):
         yield j, block, tail, lower_targets[:, tail:], lower_rank[:, tail:], home.start - lower_tail
 
 
-def _wedge_blocks(a: np.ndarray, v: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Coefficients of (k-form a) ^ (vector v), k >= 1, one target block at a
-    time (`_block_slots`), without the (k, 1) table.
+def _product(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
+    """Coefficients of (k-form a) ^ (l-form b) over R^n, on bare arrays.
 
-    Each block adds its slots' signed terms in slot order, as `_product`'s
-    per-slot loop does, so the result is bit-identical to that loop.
+    The shape picks the kernel: blocks (`_block_slots`) when b is a vector
+    and `_by_blocks(n, k + 1)`, each adding its slots' terms in slot order,
+    as the per-split loop does, so bit-identical to it; else `_table(n, k, l)`,
+    every split at once up to `_WHOLE_TABLE_MAX` targets, one at a time above.
     """
-    out = np.zeros(math.comb(n, k + 1))
-    for j, block, tail, targets, rank, offset in _block_slots(n, k + 1):
-        part = out[block]
-        for p in range(k + 1):
-            term = a[rank[p - 1] + offset] * v[targets[p - 1]] if p else a[tail:] * v[j]
-            if (k - p) % 2:
-                part -= term
-            else:
-                part += term
+    if l == 1 and _by_blocks(n, k + 1):
+        out = np.zeros(math.comb(n, k + 1))
+        for j, block, tail, targets, rank, offset in _block_slots(n, k + 1):
+            part = out[block]
+            for p in range(k + 1):
+                term = a[rank[p - 1] + offset] * b[targets[p - 1]] if p else a[tail:] * b[j]
+                if (k - p) % 2:
+                    part -= term
+                else:
+                    part += term
+        return out
+    k_rank, l_rank, sign = _table(n, k, l)
+    if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
+        return sign @ (a[k_rank] * b[l_rank])
+    out = np.zeros(k_rank.shape[1])
+    for p in range(sign.shape[0]):
+        term = a[k_rank[p]]
+        term *= b[l_rank[p]]
+        if sign[p] > 0:
+            out += term
+        else:
+            out -= term
     return out
 
 
@@ -357,9 +362,9 @@ class MultiIndex:
     n: int
 
     def __post_init__(self) -> None:
-        n = int(self.n)
+        n = _integer(self.n, "n")
         _check_dimension(n)
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(_integer(i, "indices") for i in self.indices)
         if len(indices) > n:
             raise DomainError(f"at most {n} indices fit in dimension {n}, got {len(indices)}")
         if any(i < 1 or i > n for i in indices):
@@ -386,10 +391,10 @@ def rank_multi_index(index: MultiIndex) -> int:
 
 def unrank_multi_index(position: int, n: int, k: int) -> MultiIndex:
     """Inverse of rank_multi_index: the sorted k-tuple at `position`."""
+    position, n, k = _integer(position, "position"), _integer(n, "n"), _integer(k, "k")
     _check_dimension(n)
     if not 0 <= k <= n:
         raise DomainError(f"grade must lie in [0, {n}], got {k}")
-    position = int(position)
     if not 0 <= position < math.comb(n, k):
         raise DomainError(f"position {position} outside [0, {math.comb(n, k)})")
     indices = []
@@ -413,8 +418,7 @@ class KForm:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        k = int(self.k)
+        n, k = _integer(self.n, "n"), _integer(self.k, "k")
         _check_dimension(n)
         if not 0 <= k <= n:
             raise DomainError(f"grade must lie in [0, {n}], got {k}")
@@ -437,6 +441,7 @@ class KForm:
 
 def zero_form(n: int, k: int) -> KForm:
     """The zero form of the given grade."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     _check_dimension(n)
     if not 0 <= k <= n:
         raise DomainError(f"grade must lie in [0, {n}], got {k}")
@@ -466,8 +471,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
     Bilinear, associative and graded-anticommutative; the coefficient of a
     sorted target index is the shuffle-signed sum over all splits between
-    the factors, with no factorial averaging, taken over the split table
-    for the two grades (the grade-1 table when one factor is a vector).
+    the factors, with no factorial averaging, by the kernel `_product` picks.
     """
     if not isinstance(a, KForm) or not isinstance(b, KForm):
         raise DomainError("wedge expects two KForm operands")
@@ -476,7 +480,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     grade = a.k + b.k
     if grade > a.n:
         raise DomainError(f"grades {a.k} + {b.k} exceed the ambient dimension {a.n}")
-    return KForm(a.n, grade, _product(a.coeffs, b.coeffs, *_table(a.n, a.k, b.k)))
+    return KForm(a.n, grade, _product(a.coeffs, b.coeffs, a.n, a.k, b.k))
 
 
 def contract(a: KForm, c: KForm) -> KForm:
@@ -484,18 +488,19 @@ def contract(a: KForm, c: KForm) -> KForm:
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
     inner(x, contract(a, c)) for every l-form x.  It is (-1)^(kl + l(n-l))
-    *(a ^ *c), on the (k, n-k-l) table, checked against the work budget
-    before either dual is taken.
+    *(a ^ *c).  When *c is above grade 1, the product's table is built, and
+    checked against the work budget, before either dual is taken.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
     if a.n != c.n:
         raise DomainError(f"mismatched ambient dimensions: {a.n} vs {c.n}")
-    n, grade = a.n, c.k - a.k
+    n, grade, dual_k = a.n, c.k - a.k, a.n - c.k
     if grade < 0:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
-    table = _table(n, a.k, n - c.k)
-    coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), *table), n, n - grade)
+    if dual_k > 1:  # a dual of grade 0 or 1 is at most n coefficients
+        _table(n, a.k, dual_k)
+    coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), n, a.k, dual_k), n, n - grade)
     return KForm(n, grade, -coeffs if (a.k * grade + grade * (n - grade)) % 2 else coeffs)
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import _freeze
+from .forms import _freeze, _integer
 from .solver import (
     RANK_TOLERANCE,
     ConstraintSystem,
@@ -53,7 +53,7 @@ class OrthoBasis:
     def __post_init__(self) -> None:
         vectors = np.array(self.vectors, dtype=float)
         scales = np.array(self.scales, dtype=float)
-        rank = int(self.rank)
+        rank = _integer(self.rank, "rank")
         if vectors.ndim != 2:
             raise DomainError("basis vectors must form a 2-d matrix")
         if scales.ndim != 1:
@@ -75,7 +75,7 @@ class OrthoBasis:
     @classmethod
     def empty(cls, n: int) -> "OrthoBasis":
         """Rank-zero basis over R^n (the m = 0 case)."""
-        return cls(np.zeros((0, int(n))), np.zeros(0), 0)
+        return cls(np.zeros((0, _integer(n, "n"))), np.zeros(0), 0)
 
     @property
     def n(self) -> int:
@@ -201,6 +201,8 @@ def sample_feasible(system: ConstraintSystem, seed: int) -> np.ndarray:
     Two calls with equal seeds return identical vectors; across seeds the
     samples cover the whole feasible unit sphere.
     """
+    if _integer(seed, "seed") < 0:
+        raise DomainError(f"seed: expected a non-negative integer, got {seed!r}")
     apply = _projection(system, _project)[0]
     rng = np.random.default_rng(seed)
     while True:

@@ -9,16 +9,15 @@ P = I - C C^T / ||A||^2 and no solve forms A ^ b or any other form above
 grade m.  When 2m > n, P = C' C'^T / ||A||^2 is read off the Hodge dual *A
 of grade n - m instead, row i of C' being contract(e_i, *A), so no solve
 builds a grade-1 table at grade low = min(m, n - m) or above.  Past
-`forms._BLOCK_MIN` the fold's last wedge and the layout of C or C' run
-block by block on the (low-2, 1) table, and the (low-1, 1) table, the
-largest, is not built either; the choice depends only on the shape, and
-both ways give bit-identical results.  For one row in R^3
-this is the paper's triple product a x (b x a) = |a|^2 b - (a . b) a.  The
-ray applies P twice, which removes the rounding the first pass leaves in
-the row span; ||A||^2 times it is the paper's double dual
-*(A ^ *(b ^ A)) times (-1)^(n+1).  `constraint_form` folds the rows
-through the grade-1 kernel of `forms` when 2m <= n and takes the minors as
-a batch of determinants otherwise.
+`forms._BLOCK_MIN` it does not build the (low-1, 1) one either: by the
+block rule of the `forms` docstring, any (k, 1) product, the library's
+`wedge` included, and the layout of C or C' run block by block, with
+bit-identical results.  For one row in R^3 this is the paper's triple
+product a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which
+removes the rounding the first pass leaves in the row span; ||A||^2 times
+it is the paper's double dual *(A ^ *(b ^ A)) times (-1)^(n+1).
+`constraint_form` folds the rows through the product kernel of `forms`
+when 2m <= n and takes the minors as a batch of determinants otherwise.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _check_work, _combos, _dual, _freeze
-from .forms import _by_blocks, _interior_rows, _ldexp_checked, _product, _table, _wedge_blocks
+from .forms import KForm, _check_dimension, _check_work, _combos, _dual, _freeze, _integer
+from .forms import _by_blocks, _interior_rows, _ldexp_checked, _product
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -98,7 +97,7 @@ class ConstraintSystem:
     @classmethod
     def unconstrained(cls, n: int) -> "ConstraintSystem":
         """A system with no rows over R^n."""
-        return cls(np.zeros((0, int(n))))
+        return cls(np.zeros((0, _integer(n, "n"))))
 
     @property
     def m(self) -> int:
@@ -189,16 +188,17 @@ def constraint_form(system: ConstraintSystem) -> KForm:
 
     The coefficient on a sorted multi-index I equals the m x m minor of the
     row matrix on columns I.  When 2m <= n the rows are folded, one wedge
-    with a vector per row, on bare coefficient arrays through the grade-1
-    kernel that `wedge` uses: no intermediate form is larger than the
-    result, with C(n, m) coefficients, and the tables hold about
-    2 sum_{k<=m} C(n, k) k entries, fewer than the C(n, m) m^2 of a gather
-    of every minor; past `forms._BLOCK_MIN` the last wedge runs on blocks
-    and the sum stops at k = m - 1.  When 2m > n the fold would pass through grade n/2,
-    with C(n, n/2) coefficients against C(n, m) minors, so the minors are
-    evaluated directly as a batch of determinants, whose only tables are the
-    index lists up to grade m.  The choice depends only on the shape.  A
-    shape over the work budget is refused before anything is allocated, and
+    with a vector per row, on bare arrays through `_product` as `wedge` is,
+    bit for bit: no intermediate form is larger than the result, with
+    C(n, m) coefficients, and the tables hold about 2 sum_{k<=m} C(n, k) k
+    entries, fewer than the C(n, m) m^2 of a gather of every minor.  The sum
+    stops at k = m - 1 past `forms._BLOCK_MIN`, by the block rule of `forms`:
+    any (k, 1) product, the library's `wedge` included.  When 2m > n the fold
+    would pass through grade n/2, with C(n, n/2) coefficients against
+    C(n, m) minors, so the minors are evaluated directly as a batch of
+    determinants, whose only tables are the index lists up to grade m.  The
+    choice depends only on the shape.  A shape over the work budget is
+    refused before anything is allocated, and
     minors that overflow are refused as non-finite.
     """
     if system.m == 0:
@@ -214,9 +214,7 @@ def _wedge_rows(rows: np.ndarray) -> np.ndarray:
         if 2 * m <= n:
             coeffs = rows[0]
             for k, row in enumerate(rows[1:], 1):
-                if k == m - 1 and _by_blocks(n, m):
-                    return _wedge_blocks(coeffs, row, n, k)
-                coeffs = _product(coeffs, row, *_table(n, k, 1))
+                coeffs = _product(coeffs, row, n, k, 1)
             return coeffs
         return np.linalg.det(np.transpose(rows[:, _combos(n, m)], (1, 0, 2)))
 

@@ -89,6 +89,30 @@ class TestMultiIndex:
         with pytest.raises(DomainError):
             unrank_multi_index(3, 3, 2)
 
+    def test_non_integral_index_refused(self):
+        # a cast to int would make it (1, 2)
+        with pytest.raises(DomainError, match=r"indices: expected an integer, got 1\.5"):
+            MultiIndex((1.5, 2), 3)
+
+    def test_bool_index_refused(self):
+        with pytest.raises(DomainError, match="indices: expected an integer, got True"):
+            MultiIndex((True, 2), 3)
+
+    def test_non_integral_position_refused(self):
+        # a cast to int would make it position 1, the index (1, 3)
+        with pytest.raises(DomainError, match=r"position: expected an integer, got 1\.5"):
+            unrank_multi_index(1.5, 4, 2)
+
+    def test_non_integral_unrank_dimension_refused(self):
+        # math.comb would raise a bare TypeError on it
+        with pytest.raises(DomainError, match=r"n: expected an integer, got 4\.5"):
+            unrank_multi_index(0, 4.5, 2)
+
+    def test_numpy_integers_accepted(self):
+        index = unrank_multi_index(np.int64(1), np.int32(4), np.uint8(2))
+        assert index == MultiIndex((np.int64(1), np.int16(3)), np.int64(4))
+        assert type(index.n) is int and all(type(i) is int for i in index.indices)
+
 
 class TestKForm:
     def test_from_vector_examples(self):
@@ -111,6 +135,30 @@ class TestKForm:
     def test_grade_bounds(self):
         with pytest.raises(DomainError):
             KForm(2, 3, [0.0])
+
+    def test_non_integral_dimension_refused(self):
+        # a cast to int would make it n = 3
+        with pytest.raises(DomainError, match=r"n: expected an integer, got 3\.5"):
+            KForm(3.5, 1, [1, 2, 3])
+
+    def test_bool_grade_refused(self):
+        with pytest.raises(DomainError, match="k: expected an integer, got True"):
+            KForm(3, True, [1, 2, 3])
+
+    def test_non_integral_zero_form_grade_refused(self):
+        # math.comb would raise a bare TypeError on it
+        with pytest.raises(DomainError, match=r"k: expected an integer, got 1\.5"):
+            zero_form(3, 1.5)
+
+    def test_non_integral_basis_form_dimension_refused(self):
+        # math.comb would raise a bare TypeError on it
+        with pytest.raises(DomainError, match=r"n: expected an integer, got 3\.7"):
+            basis_form(3.7, [1])
+
+    def test_numpy_integer_dimension_and_grade_accepted(self):
+        form = KForm(np.int64(3), np.int8(1), [1, 2, 3])
+        assert type(form.n) is int and type(form.k) is int
+        assert zero_form(np.int64(3), np.int64(2)).k == 2
 
     def test_scalar_grades_are_single_coefficients(self):
         assert zero_form(4, 0).coeffs.shape == (1,)
@@ -219,6 +267,26 @@ class TestWedge:
             c = rng.standard_normal() * 3.0
             out = wedge(from_vector(v), from_vector(c * v))
             assert np.max(np.abs(out.coeffs)) <= 1e-12 * (np.linalg.norm(v) ** 2 * abs(c) + 1.0)
+
+    def test_vector_past_the_block_size_builds_no_table(self, monkeypatch):
+        # C(18, 9) / 10 = 4862 targets per block on average, past _BLOCK_MIN: the
+        # (8, 1) table is read block by block off the (7, 1) one and never built
+        rng = np.random.default_rng(19)
+        a = KForm(18, 8, rng.standard_normal(math.comb(18, 8)))
+        v = from_vector(rng.standard_normal(18))
+        grade_one_table = forms._grade1_table
+
+        def table_below_8(n, k):
+            if k >= 8:
+                raise AssertionError(f"wedge built the ({k}, 1) table")
+            return grade_one_table(n, k)
+
+        forms._clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_grade1_table", table_below_8)
+            on_blocks = wedge(a, v)
+        monkeypatch.setattr(forms, "_BLOCK_MIN", math.inf)
+        assert np.array_equal(on_blocks.coeffs, wedge(a, v).coeffs)
 
     def test_against_dense_shuffle_sum(self):
         rng = np.random.default_rng(11)

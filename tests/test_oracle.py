@@ -87,6 +87,15 @@ class TestOrthoBasis:
         basis = OrthoBasis.empty(5)
         assert basis.rank == 0 and basis.n == 5
 
+    def test_non_integral_rank_refused(self):
+        # a cast to int would make it rank 1
+        with pytest.raises(DomainError, match=r"rank: expected an integer, got 1\.5"):
+            OrthoBasis([[1, 0]], [1], 1.5)
+
+    def test_non_integral_empty_dimension_refused(self):
+        with pytest.raises(DomainError, match=r"n: expected an integer, got 2\.5"):
+            OrthoBasis.empty(2.5)
+
 
 class TestGramSchmidtBasis:
     def test_near_dependent_rows_keep_an_orthonormal_basis(self):
@@ -381,6 +390,19 @@ class TestSampleFeasible:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             sample_feasible(ConstraintSystem([[1.0, 0, 0], [3.0, 0, 0]]), 1)
+
+    def test_negative_seed_refused(self):
+        # numpy's default_rng would raise its own ValueError
+        with pytest.raises(DomainError, match="seed: expected a non-negative integer, got -1"):
+            sample_feasible(ConstraintSystem([[0, 0, 1.0]]), -1)
+
+    def test_bool_seed_refused(self):
+        with pytest.raises(DomainError, match="seed: expected an integer, got True"):
+            sample_feasible(ConstraintSystem([[0, 0, 1.0]]), True)
+
+    def test_numpy_integer_seed_accepted(self):
+        system = ConstraintSystem([[0, 0, 1.0]])
+        assert np.array_equal(sample_feasible(system, np.int64(7)), sample_feasible(system, 7))
 
 
 class TestIndependentRows:
