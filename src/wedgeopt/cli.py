@@ -20,6 +20,7 @@ import numpy as np
 
 from .complexify import ComplexProblem, _fold, realify
 from .errors import DomainError, ParseError, RankDeficientError, ValidationError
+from .forms import _integer, _positive
 from .oracle import oracle_direction
 from .solver import (
     ConstraintSystem,
@@ -95,10 +96,7 @@ class SolveReport:
 def _require_int(doc: dict, key: str) -> int:
     if key not in doc:
         raise ParseError(f"missing required key {key!r}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key}: expected an integer, got {value!r}")
-    return value
+    return _integer(doc[key], key, ParseError)
 
 
 def _real_scalar(value, where: str) -> float:
@@ -108,13 +106,6 @@ def _real_scalar(value, where: str) -> float:
         return float(value)
     except OverflowError:  # an integer past the double range
         raise ValidationError(f"{where}: integers must lie inside the double range") from None
-
-
-def _tolerance(value: float, where: str) -> float:
-    # json parses NaN, and 1e400 as inf; neither is a usable coefficient
-    if not 0.0 < value < np.inf:
-        raise ValidationError(f"{where} must be a finite positive number, got {value!r}")
-    return value
 
 
 def _complex_scalar(value, where: str) -> complex:
@@ -171,7 +162,8 @@ def parse_problem(path: str) -> ProblemSpec:
         raise ParseError(f"objective_part: expected 're' or 'im', got {part!r}")
     tolerance = doc.get("tolerance")
     if tolerance is not None:
-        tolerance = _tolerance(_real_scalar(tolerance, "tolerance"), "tolerance")
+        # json parses NaN, and 1e400 as inf; neither is a usable coefficient
+        tolerance = _positive(_real_scalar(tolerance, "tolerance"), "tolerance", ValidationError)
 
     # m >= 0 and m < n imply n >= 1
     if m < 0:
@@ -288,10 +280,8 @@ def self_test(n: int, m: int, trials: int, seed: int) -> tuple[dict, bool]:
     n=3, m=1 additionally 1 - cosine against the normalized vector triple
     product <= 1e-12.
     """
-    for name, value in (("n", n), ("m", m), ("trials", trials), ("seed", seed)):
-        # the rule of `_require_int`: a bool is not an integer here
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    args = {"n": n, "m": m, "trials": trials, "seed": seed}
+    n, m, trials, seed = (_integer(value, name, ValidationError) for name, value in args.items())
     if not 0 <= m < n:
         raise ValidationError(f"self-test requires 0 <= m < n, got m={m}, n={n}")
     if trials < 0:
@@ -422,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         if (args.input is None) == (args.self_test is None):
             raise ValidationError("exactly one of --input or --self-test is required")
         if args.tolerance is not None:
-            _tolerance(args.tolerance, "--tolerance")
+            _positive(args.tolerance, "--tolerance", ValidationError)
 
         if args.self_test is not None:
             # a self-test draws its own problems and always runs both paths

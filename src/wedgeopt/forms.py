@@ -30,6 +30,7 @@ so a solve never builds its largest table, the (low-1, 1) one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -64,17 +65,54 @@ _MAX_DIMENSION = 64
 _WORK_BUDGET = 4 * 2**30
 
 
-def _check_dimension(n: int) -> None:
+def _check_dimension(n: int) -> int:
     if not 1 <= n <= _MAX_DIMENSION:
         raise DomainError(f"ambient dimension must lie in [1, {_MAX_DIMENSION}], got {n}")
+    return n
 
 
-def _integer(value: object, name: str) -> int:
+def _integer(value: object, name: str, error: type[Exception] = DomainError) -> int:
     """`value` as an int: any integer, numpy's included; a bool or any other
-    value is refused, naming the argument `name`."""
+    value is refused as `error`, naming the argument `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name}: expected an integer, got {value!r}")
+        raise error(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _grade(n: object, k: object) -> tuple[int, int]:
+    """(n, k) as ints, n an ambient dimension (`_check_dimension`) and 0 <= k <= n."""
+    n, k = _integer(n, "n"), _integer(k, "k")
+    if not 0 <= k <= _check_dimension(n):
+        raise DomainError(f"grade must lie in [0, {n}], got {k}")
+    return n, k
+
+
+def _positive(value: object, name: str, error: type[Exception] = DomainError) -> float:
+    """`value` as a float when it is a real number, not a bool, that is a finite
+    positive double; any other value is refused as `error`, naming `name`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else 0.0
+    except OverflowError:  # an integer past the double range
+        number = math.inf
+    if not 0.0 < number < math.inf:  # NaN fails both comparisons
+        raise error(f"{name} must be a finite positive number, got {value!r}")
+    return number
+
+
+def _real_array(value: object, what: str, ndim: int) -> np.ndarray:
+    """`value` as a new `ndim`-d float array with finite entries; anything else,
+    complex, ragged or non-numeric input included, is refused, naming `what`."""
+    try:
+        arr = np.asarray(value)
+        arr = None if arr.dtype.kind == "c" else arr.astype(float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numeric, an int past 2**1024
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise DomainError(f"{what} must be a {ndim}-d array of real numbers")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must have finite entries")
+    return arr
 
 
 def _check_work(nbytes: int, what: str) -> None:
@@ -96,8 +134,8 @@ def _freeze(obj: object, **fields: object) -> None:
 
 def _ldexp_checked(x: float, e: int, what: str) -> float:
     """x * 2^e, refused, as `what`, when it is not a finite double."""
-    # x = f * 2^k with f in [1/2, 1) scales past the largest double iff k + e > 1024
-    if not math.isfinite(x) or math.frexp(x)[1] + e > 1024:
+    # x = f * 2^k with f in [1/2, 1) scales past the largest double iff k + e > 1024; 0 never does
+    if not math.isfinite(x) or (x and math.frexp(x)[1] + e > 1024):
         raise DomainError(f"{what} is not representable: {float(x)!r} * 2**{e}")
     return math.ldexp(x, e)
 
@@ -362,8 +400,7 @@ class MultiIndex:
     n: int
 
     def __post_init__(self) -> None:
-        n = _integer(self.n, "n")
-        _check_dimension(n)
+        n = _check_dimension(_integer(self.n, "n"))
         indices = tuple(_integer(i, "indices") for i in self.indices)
         if len(indices) > n:
             raise DomainError(f"at most {n} indices fit in dimension {n}, got {len(indices)}")
@@ -391,10 +428,8 @@ def rank_multi_index(index: MultiIndex) -> int:
 
 def unrank_multi_index(position: int, n: int, k: int) -> MultiIndex:
     """Inverse of rank_multi_index: the sorted k-tuple at `position`."""
-    position, n, k = _integer(position, "position"), _integer(n, "n"), _integer(k, "k")
-    _check_dimension(n)
-    if not 0 <= k <= n:
-        raise DomainError(f"grade must lie in [0, {n}], got {k}")
+    position = _integer(position, "position")
+    n, k = _grade(n, k)
     if not 0 <= position < math.comb(n, k):
         raise DomainError(f"position {position} outside [0, {math.comb(n, k)})")
     indices = []
@@ -418,16 +453,11 @@ class KForm:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        n, k = _integer(self.n, "n"), _integer(self.k, "k")
-        _check_dimension(n)
-        if not 0 <= k <= n:
-            raise DomainError(f"grade must lie in [0, {n}], got {k}")
-        coeffs = np.array(self.coeffs, dtype=float)
+        n, k = _grade(self.n, self.k)
+        coeffs = _real_array(self.coeffs, "form coefficients", 1)
         expected = math.comb(n, k)
-        if coeffs.ndim != 1 or coeffs.shape[0] != expected:
+        if coeffs.shape[0] != expected:
             raise DomainError(f"a grade-{k} form over R^{n} needs exactly {expected} coefficients")
-        if not np.all(np.isfinite(coeffs)):
-            raise DomainError("form coefficients must be finite")
         _freeze(self, n=n, k=k, coeffs=coeffs)
 
     def norm(self) -> float:
@@ -441,10 +471,7 @@ class KForm:
 
 def zero_form(n: int, k: int) -> KForm:
     """The zero form of the given grade."""
-    n, k = _integer(n, "n"), _integer(k, "k")
-    _check_dimension(n)
-    if not 0 <= k <= n:
-        raise DomainError(f"grade must lie in [0, {n}], got {k}")
+    n, k = _grade(n, k)
     _check_work(16 * math.comb(n, k), f"a grade-{k} form over R^{n}")
     return KForm(n, k, np.zeros(math.comb(n, k)))
 
@@ -460,8 +487,8 @@ def basis_form(n: int, indices: Sequence[int]) -> KForm:
 
 def from_vector(v: Sequence[float]) -> KForm:
     """Embed an n-vector as the grade-1 form with the same components."""
-    arr = np.array(v, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 1:
+    arr = _real_array(v, "vector", 1)
+    if arr.shape[0] < 1:
         raise DomainError("expected a non-empty 1-d real vector")
     return KForm(arr.shape[0], 1, arr)
 
@@ -480,7 +507,9 @@ def wedge(a: KForm, b: KForm) -> KForm:
     grade = a.k + b.k
     if grade > a.n:
         raise DomainError(f"grades {a.k} + {b.k} exceed the ambient dimension {a.n}")
-    return KForm(a.n, grade, _product(a.coeffs, b.coeffs, a.n, a.k, b.k))
+    with np.errstate(over="ignore", invalid="ignore"):  # KForm refuses a non-finite result
+        coeffs = _product(a.coeffs, b.coeffs, a.n, a.k, b.k)
+    return KForm(a.n, grade, coeffs)
 
 
 def contract(a: KForm, c: KForm) -> KForm:
@@ -500,7 +529,8 @@ def contract(a: KForm, c: KForm) -> KForm:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
     if dual_k > 1:  # a dual of grade 0 or 1 is at most n coefficients
         _table(n, a.k, dual_k)
-    coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), n, a.k, dual_k), n, n - grade)
+    with np.errstate(over="ignore", invalid="ignore"):  # KForm refuses a non-finite result
+        coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), n, a.k, dual_k), n, n - grade)
     return KForm(n, grade, -coeffs if (a.k * grade + grade * (n - grade)) % 2 else coeffs)
 
 
@@ -516,9 +546,23 @@ def hodge(a: KForm) -> KForm:
 
 
 def inner(a: KForm, b: KForm) -> float:
-    """Coefficient dot product of two same-grade forms over the same space."""
+    """Coefficient dot product of two same-grade forms over the same space.
+
+    When the plain dot product is not finite, a product of two coefficients
+    overflowed: it is taken again, as `KForm.norm` takes its norm, of the
+    coefficients each divided by the exact power of two of its largest, and
+    scaled back, refused when that is past the largest double.  A finite
+    plain result is returned as it is; dividing first would lose the terms
+    of small coefficients when the largest ones meet zeros.
+    """
     if not isinstance(a, KForm) or not isinstance(b, KForm):
         raise DomainError("inner expects two KForm operands")
     if a.n != b.n or a.k != b.k:
         raise DomainError("inner requires matching ambient dimension and grade")
-    return float(a.coeffs @ b.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is redone below
+        value = float(a.coeffs @ b.coeffs)
+    if math.isfinite(value):
+        return value
+    ea, eb = (math.frexp(float(np.max(np.abs(f.coeffs))))[1] for f in (a, b))
+    value = float(np.ldexp(a.coeffs, -ea) @ np.ldexp(b.coeffs, -eb))
+    return _ldexp_checked(value, ea + eb, "the inner product")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import _freeze, _integer
+from .forms import _freeze, _integer, _real_array
 from .solver import (
     RANK_TOLERANCE,
     ConstraintSystem,
@@ -51,11 +51,9 @@ class OrthoBasis:
     rank: int
 
     def __post_init__(self) -> None:
-        vectors = np.array(self.vectors, dtype=float)
+        vectors = _real_array(self.vectors, "basis vectors", 2)
         scales = np.array(self.scales, dtype=float)
         rank = _integer(self.rank, "rank")
-        if vectors.ndim != 2:
-            raise DomainError("basis vectors must form a 2-d matrix")
         if scales.ndim != 1:
             raise DomainError("scales must be a 1-d vector")
         if rank != vectors.shape[0] or rank != scales.shape[0]:
@@ -75,7 +73,9 @@ class OrthoBasis:
     @classmethod
     def empty(cls, n: int) -> "OrthoBasis":
         """Rank-zero basis over R^n (the m = 0 case)."""
-        return cls(np.zeros((0, _integer(n, "n"))), np.zeros(0), 0)
+        if _integer(n, "n") < 0:
+            raise DomainError(f"n: expected a non-negative integer, got {n!r}")
+        return cls(np.zeros((0, n)), np.zeros(0), 0)
 
     @property
     def n(self) -> int:
@@ -114,11 +114,9 @@ def orthonormalize(rows: Sequence[Sequence[float]] | np.ndarray) -> OrthoBasis:
     A dependent input shows up as rank < m rather than as an error; a scale
     that is not a positive double is refused by OrthoBasis.
     """
-    matrix = np.array(rows, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
+    matrix = _real_array(rows, "rows", 2)
+    if matrix.shape[0] < 1:
         raise DomainError("orthonormalize expects at least one row vector")
-    if not np.all(np.isfinite(matrix)):
-        raise DomainError("rows must have finite entries")
     scaled, exponents = _power_of_two_scaled(matrix)
     vectors, residuals, kept, _ = _gram_schmidt(scaled)
     with np.errstate(over="ignore"):
@@ -136,11 +134,9 @@ def _remove_span(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def perpendicular_component(b: Sequence[float], basis: OrthoBasis) -> np.ndarray:
     """Component of b orthogonal to the span of the basis vectors."""
-    vec = np.array(b, dtype=float)
-    if vec.ndim != 1 or vec.shape[0] != basis.n:
+    vec = _real_array(b, "vector", 1)
+    if vec.shape[0] != basis.n:
         raise DomainError(f"expected a vector of length {basis.n}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("vector entries must be finite")
     return _remove_span(basis.vectors, vec)
 
 

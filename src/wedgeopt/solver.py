@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficientError
 from .forms import KForm, _check_dimension, _check_work, _combos, _dual, _freeze, _integer
-from .forms import _by_blocks, _interior_rows, _ldexp_checked, _product
+from .forms import _by_blocks, _interior_rows, _ldexp_checked, _positive, _product, _real_array
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -80,15 +80,11 @@ class ConstraintSystem:
     exponents: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise DomainError("constraint rows must form a 2-d matrix")
+        rows = _real_array(self.rows, "constraint rows", 2)
         m, n = rows.shape
         _check_dimension(n)
         if m >= n:
             raise DomainError(f"the row count must satisfy m < n, got m={m}, n={n}")
-        if not np.all(np.isfinite(rows)):
-            raise DomainError("constraint rows must have finite entries")
         if not rows.any(axis=1).all():
             raise DomainError("constraint rows must be nonzero")
         scaled, exponents = _power_of_two_scaled(rows)
@@ -97,7 +93,7 @@ class ConstraintSystem:
     @classmethod
     def unconstrained(cls, n: int) -> "ConstraintSystem":
         """A system with no rows over R^n."""
-        return cls(np.zeros((0, _integer(n, "n"))))
+        return cls(np.zeros((0, _check_dimension(_integer(n, "n")))))
 
     @property
     def m(self) -> int:
@@ -122,11 +118,9 @@ class Objective:
     shift: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        b = np.array(self.b, dtype=float)
-        if b.ndim != 1 or b.shape[0] < 1:
+        b = _real_array(self.b, "objective", 1)
+        if b.shape[0] < 1:
             raise DomainError("objective must be a non-empty 1-d real vector")
-        if not np.all(np.isfinite(b)):
-            raise DomainError("objective entries must be finite")
         if not b.any():
             raise DomainError("objective vector must have positive norm")
         if self.mode not in ("max", "min"):
@@ -349,9 +343,7 @@ def _solve(
     unconstrained, and a degenerate solve takes `_free_direction` of the map
     and, its perp being rounding, the zero ray that matches its objective 0.
     """
-    coeff = DEGENERACY_TOLERANCE if tolerance is None else float(tolerance)
-    if not 0.0 < coeff < np.inf:  # NaN fails both comparisons
-        raise DomainError(f"tolerance must be a finite positive number, got {tolerance!r}")
+    coeff = DEGENERACY_TOLERANCE if tolerance is None else _positive(tolerance, "tolerance")
     if objective.b.shape[0] != system.n:
         raise DomainError(
             f"objective has {objective.b.shape[0]} components "
@@ -422,13 +414,12 @@ def _ray_value(
     solve: Callable, name: str, system: ConstraintSystem, objective: Objective, t_star: float
 ) -> float:
     """t_star * (b . raw) of `solve`'s ray, negated for mode "min"; `name` is the caller's."""
-    if not t_star > 0:
-        raise DomainError(f"t_star must be positive, got {t_star}")
+    t_star = _positive(t_star, "t_star")
     if system.m == 0:
         raise DomainError(f"{name} needs at least one constraint row")
     raw = solve(system, objective).raw
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused
-        value = _ldexp_checked(float(t_star) * float(objective.b @ raw), 0, "the objective value")
+        value = _ldexp_checked(t_star * float(objective.b @ raw), 0, "the objective value")
     # 0.0 - value, not -value, so that the zero value of a degenerate instance stays +0.0
     return value if objective.mode == "max" else 0.0 - value
 
@@ -452,12 +443,9 @@ def triple_product_direction(a: Sequence[float], b: Sequence[float]) -> np.ndarr
     and the result is scaled back by 2^(2 ea + eb).  It is the ray |a|^2 b_perp
     of the row a, refused by `_scaled_ray` when it is not representable.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _real_array(a, "a", 1), _real_array(b, "b", 1)
     if a.shape != (3,) or b.shape != (3,):
         raise DomainError("both vectors must be 3-dimensional")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("inputs must have finite entries")
     if not (a.any() and b.any()):
         raise DomainError("inputs must be nonzero vectors")
     (a, b), (ea, eb) = _power_of_two_scaled(np.array([a, b]))

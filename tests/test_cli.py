@@ -537,6 +537,12 @@ class TestSelfTest:
         with pytest.raises(ValidationError, match=f"^{name}: expected an integer"):
             self_test(*args)
 
+    def test_numpy_integer_arguments_give_a_json_report(self):
+        report, ok = self_test(np.int64(4), np.int64(2), 2, np.int32(1))
+        assert ok
+        assert json.loads(json.dumps(report))["n"] == 4
+        assert all(type(report[key]) is int for key in ("n", "m", "trials", "seed"))
+
     def test_trials_run_the_check_path(self, monkeypatch):
         def skewed_oracle(system, objective, tolerance=None):
             direction = np.zeros(system.n)

@@ -223,6 +223,11 @@ class TestWedge:
         out = wedge(from_vector([1, 0, 0]), from_vector([0, 2, 0]))
         assert np.array_equal(out.coeffs, [2.0, 0.0, 0.0])
 
+    def test_overflow_refused_without_a_warning(self):
+        # the suite turns the RuntimeWarning of the overflowing multiply into an error
+        with pytest.raises(DomainError, match="^form coefficients must have finite entries$"):
+            wedge(from_vector([1e200, 1, 0]), from_vector([0, 1e200, 1]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             wedge(from_vector([1, 0]), from_vector([1, 0, 0]))
@@ -306,6 +311,11 @@ class TestContract:
         assert np.array_equal(contract(basis_form(3, [2]), e12).coeffs, -basis_form(3, [1]).coeffs)
         assert np.array_equal(contract(basis_form(3, [3]), e12).coeffs, zero_form(3, 1).coeffs)
         assert np.array_equal(contract(e12, e12).coeffs, [1.0])
+
+    def test_overflow_refused_without_a_warning(self):
+        # e1 into 1e200 e12 is -1e200 e2 ... times 1e200: past the double range
+        with pytest.raises(DomainError, match="^form coefficients must have finite entries$"):
+            contract(from_vector([1e200, 0, 0]), KForm(3, 2, [1e200, 0, 0]))
 
     def test_grade_and_dimension_checks(self):
         with pytest.raises(DomainError):
@@ -552,6 +562,21 @@ class TestInner:
         form = KForm(5, 2, coeffs)
         assert inner(form, form) == pytest.approx(float(coeffs @ coeffs))
         assert inner(zero_form(5, 2), zero_form(5, 2)) == 0.0
+
+    def test_past_the_double_range_refused(self):
+        # 1e400: not inf, nor a RuntimeWarning, which the suite turns into an error
+        with pytest.raises(DomainError, match="^the inner product is not representable"):
+            inner(from_vector([1e200, 1]), from_vector([1e200, 1]))
+
+    def test_overflowing_products_that_cancel(self):
+        # each product is 2^1100, past the double range, so the plain sum is inf - inf
+        assert inner(from_vector([2.0**600, 2.0**600]), from_vector([2.0**500, -(2.0**500)])) == 0.0
+
+    def test_finite_results_are_the_plain_dot_product(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-300, 1e-150, 1.0, 1e150):
+            a, b = rng.standard_normal((2, 10)) * scale
+            assert inner(KForm(5, 2, a), KForm(5, 2, b)) == float(a @ b)
 
     def test_mismatch(self):
         with pytest.raises(DomainError):

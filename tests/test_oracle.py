@@ -96,6 +96,19 @@ class TestOrthoBasis:
         with pytest.raises(DomainError, match=r"n: expected an integer, got 2\.5"):
             OrthoBasis.empty(2.5)
 
+    def test_negative_empty_dimension_refused(self):
+        # refused before np.zeros((0, n)), whose ValueError a negative n would raise
+        with pytest.raises(DomainError, match="^n: expected a non-negative integer, got -2$"):
+            OrthoBasis.empty(-2)
+        for n in (0, 100):
+            basis = OrthoBasis.empty(n)
+            assert basis.rank == 0 and basis.n == n and basis.vectors.shape == (0, n)
+
+    def test_non_finite_vector_refused(self):
+        # a NaN norm would pass the unit-norm and orthogonality checks, which NaN fails open
+        with pytest.raises(DomainError, match="^basis vectors must have finite entries$"):
+            OrthoBasis([[math.nan, 0.0]], [1.0], 1)
+
 
 class TestGramSchmidtBasis:
     def test_near_dependent_rows_keep_an_orthonormal_basis(self):

@@ -22,8 +22,9 @@ import wedgeopt.oracle
 import wedgeopt.solver
 from wedgeopt.complexify import ComplexProblem, solve_complex
 from wedgeopt.errors import DomainError, RankDeficientError
-from wedgeopt.forms import MultiIndex, basis_form, from_vector, hodge, wedge, _combos
+from wedgeopt.forms import KForm, MultiIndex, basis_form, from_vector, hodge, wedge, _combos
 from wedgeopt.oracle import (
+    OrthoBasis,
     oracle_direction,
     oracle_value,
     orthonormalize,
@@ -67,6 +68,12 @@ class TestConstraintSystem:
         with pytest.raises(DomainError, match=r"n: expected an integer, got 3\.9"):
             ConstraintSystem.unconstrained(3.9)
         assert ConstraintSystem.unconstrained(np.int64(3)).n == 3
+
+    @pytest.mark.parametrize("n", [-1, 0, 65])
+    def test_unconstrained_dimension_out_of_range_refused(self, n):
+        # refused before np.zeros((0, n)), whose ValueError a negative n would raise
+        with pytest.raises(DomainError, match=rf"^ambient dimension must lie in \[1, 64\], got {n}$"):
+            ConstraintSystem.unconstrained(n)
 
     def test_rows_are_scaled_once_by_exact_powers_of_two(self):
         rows = [[3.0, -1e200, 0.0], [0.0, 5e-300, 2.5e-300]]
@@ -927,6 +934,79 @@ class TestSharedRules:
             assert fast.status is slow.status is SolveStatus.DEGENERATE
             assert np.max(np.abs(fast.direction - slow.direction)) <= 1e-12
             assert np.array_equal(degenerate_direction(system), fast.direction)
+
+
+# Every site that takes a real array, as a call on that array, with the name its
+# errors give it and the number of dimensions it needs.
+REAL_ARRAY_SITES = {
+    "KForm": (lambda v: KForm(3, 1, v), "form coefficients", 1),
+    "from_vector": (from_vector, "vector", 1),
+    "ConstraintSystem": (ConstraintSystem, "constraint rows", 2),
+    "Objective": (Objective, "objective", 1),
+    "orthonormalize": (orthonormalize, "rows", 2),
+    "perpendicular_component": (lambda v: perpendicular_component(v, OrthoBasis.empty(3)), "vector", 1),
+    "triple_product_direction": (lambda v: triple_product_direction(v, [0.0, 1.0, 0.0]), "a", 1),
+    "OrthoBasis": (lambda v: OrthoBasis(v, [1.0], 1), "basis vectors", 2),
+}
+
+
+def _bad_arrays(ndim):
+    """One input of each refused kind for a site of `ndim` dimensions and length 3."""
+    valid = np.array([1.0, 0.0, 0.0]).reshape((1,) * (ndim - 1) + (3,))
+
+    def with_first(entry):
+        out = valid.astype(object)
+        out[(0,) * ndim] = entry
+        return out.tolist()
+
+    return {
+        "complex": valid + 0j,
+        "complex list": (valid + 1j).tolist(),
+        "string": with_first("x"),
+        "ragged": [[1.0, 0.0], [0.0]] if ndim == 1 else [[1.0, 0.0, 0.0], [0.0]],
+        "wrong ndim": valid[None],
+        "nan": with_first(math.nan),
+        "integer past the double range": with_first(10**400),
+    }
+
+
+class TestArgumentRules:
+    """One rule per kind of argument: each real array, tolerance and t_star is
+    checked by the same rule, and refused with a DomainError."""
+
+    @pytest.mark.parametrize("kind", list(_bad_arrays(1)))
+    @pytest.mark.parametrize("site", REAL_ARRAY_SITES)
+    def test_real_array_sites_refuse(self, site, kind):
+        call, what, ndim = REAL_ARRAY_SITES[site]
+        with pytest.raises(DomainError, match=f"^{what} must "):
+            call(_bad_arrays(ndim)[kind])
+
+    @pytest.mark.parametrize(
+        "tolerance", [True, "0.5", np.array(0.5), 10**400], ids=["bool", "str", "0-d array", "big int"]
+    )
+    def test_tolerance_of_another_type_refused(self, tolerance):
+        # not converted: True would run as the coefficient 1.0, "0.5" as 0.5
+        system, objective = ConstraintSystem([[0.0, 0.0, 1.0]]), Objective([1.0, 0.0, 0.0])
+        for solve in (optimal_direction, oracle_direction):
+            with pytest.raises(DomainError, match="^tolerance must be a finite positive number"):
+                solve(system, objective, tolerance)
+
+    def test_tolerance_true_no_longer_calls_an_orthogonal_objective_degenerate(self):
+        # b is orthogonal to the row, so ||b_perp|| = ||b||: degenerate only at a coefficient >= 1
+        system, objective = ConstraintSystem([[1.0, 0.0, 0.0]]), Objective([0.0, 1.0, 0.0])
+        with pytest.raises(DomainError, match="tolerance"):
+            optimal_direction(system, objective, tolerance=True)
+        assert optimal_direction(system, objective, np.float32(0.5)).status is SolveStatus.OPTIMAL
+        assert optimal_direction(system, objective, np.int64(1)).status is SolveStatus.DEGENERATE
+
+    @pytest.mark.parametrize("value", [objective_value, oracle_value])
+    def test_infinite_t_star_refused_up_front(self, value):
+        # refused before the solve, which has no rows to run on here
+        with pytest.raises(DomainError, match="^t_star must be a finite positive number, got inf$"):
+            value(ConstraintSystem.unconstrained(3), Objective([1.0, 0.0, 0.0]), math.inf)
+        for t_star in (math.nan, 0.0, True, "1"):
+            with pytest.raises(DomainError, match="^t_star must be a finite positive number"):
+                value(ConstraintSystem([[1.0, 0.0, 0.0]]), Objective([1.0, 1.0, 0.0]), t_star)
 
 
 class TestDegenerateRay:
