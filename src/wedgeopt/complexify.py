@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .forms import _freeze
+from .forms import _freeze, _real_array
 from .solver import ConstraintSystem, Objective, Solution, optimal_direction
 
 __all__ = ["ComplexProblem", "ComplexSolution", "realify", "solve_complex"]
@@ -40,11 +40,9 @@ class ComplexProblem:
     objective: Objective = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=complex)
-        b = np.array(self.b, dtype=complex)
-        if rows.ndim != 2:
-            raise DomainError("constraint rows must form a 2-d matrix")
-        if b.ndim != 1 or b.shape[0] != rows.shape[1]:
+        rows = _real_array(self.rows, "constraint rows", 2, complex_ok=True)
+        b = _real_array(self.b, "objective", 1, complex_ok=True)
+        if b.shape[0] != rows.shape[1]:
             raise DomainError(f"objective must be a complex vector of length {rows.shape[1]}")
         if self.part not in ("re", "im"):
             raise DomainError(f"part must be 're' or 'im', got {self.part!r}")
@@ -59,10 +57,11 @@ class ComplexProblem:
         else:
             vec = np.concatenate([b.imag, b.real])
         # The real system and objective carry every other rule: the dimension
-        # limit, applied to 2n, m < n, finite nonzero rows, a finite nonzero
-        # objective and the mode.  The work budget is checked by the solve, on
-        # the real 2m x 2n shape.
+        # limit, applied to 2n, m < n, nonzero rows, a nonzero objective and
+        # the mode.  The work budget is checked by the solve, on the real
+        # 2m x 2n shape.
         system, objective = ConstraintSystem(real), Objective(vec, self.mode)
+        rows, b = rows.astype(complex, copy=False), b.astype(complex, copy=False)
         _freeze(self, rows=rows, b=b, system=system, objective=objective)
 
     @property

@@ -100,16 +100,19 @@ def _positive(value: object, name: str, error: type[Exception] = DomainError) ->
     return number
 
 
-def _real_array(value: object, what: str, ndim: int) -> np.ndarray:
-    """`value` as a new `ndim`-d float array with finite entries; anything else,
-    complex, ragged or non-numeric input included, is refused, naming `what`."""
+def _real_array(value: object, what: str, ndim: int, complex_ok: bool = False) -> np.ndarray:
+    """`value` as a new `ndim`-d array with finite entries, complex if it is complex
+    and `complex_ok`, else float; anything else, ragged or non-numeric input
+    included, is refused, naming `what`."""
     try:
         arr = np.asarray(value)
-        arr = None if arr.dtype.kind == "c" else arr.astype(float)
+        is_complex = arr.dtype.kind == "c"
+        arr = arr.astype(complex if is_complex else float) if complex_ok or not is_complex else None
     except (TypeError, ValueError, OverflowError):  # ragged, not numeric, an int past 2**1024
         arr = None
     if arr is None or arr.ndim != ndim:
-        raise DomainError(f"{what} must be a {ndim}-d array of real numbers")
+        kind = "real or complex" if complex_ok else "real"
+        raise DomainError(f"{what} must be a {ndim}-d array of {kind} numbers")
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must have finite entries")
     return arr

@@ -52,15 +52,13 @@ class OrthoBasis:
 
     def __post_init__(self) -> None:
         vectors = _real_array(self.vectors, "basis vectors", 2)
-        scales = np.array(self.scales, dtype=float)
+        scales = _real_array(self.scales, "scales", 1)
         rank = _integer(self.rank, "rank")
-        if scales.ndim != 1:
-            raise DomainError("scales must be a 1-d vector")
         if rank != vectors.shape[0] or rank != scales.shape[0]:
             raise DomainError("rank must equal the number of stored vectors and scales")
+        if not (scales > 0.0).all():
+            raise DomainError("scales must be positive and finite")
         if rank:
-            if not all(0.0 < scale < math.inf for scale in scales.tolist()):
-                raise DomainError("scales must be positive and finite")
             norms = np.linalg.norm(vectors, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-12:
                 raise DomainError("basis vectors must be unit-norm within 1e-12")

@@ -141,12 +141,23 @@ class Solution:
     status: SolveStatus
 
     def __post_init__(self) -> None:
-        dtype = complex if np.iscomplexobj(self.direction) or np.iscomplexobj(self.raw) else float
-        direction, raw = np.array(self.direction, dtype=dtype), np.array(self.raw, dtype=dtype)
+        # not `forms._real_array`: its finite pass nearly doubles this cost, paid by every solve
+        try:
+            complex_arrays = np.iscomplexobj(self.direction) or np.iscomplexobj(self.raw)
+            dtype = complex if complex_arrays else float
+            direction, raw = np.array(self.direction, dtype=dtype), np.array(self.raw, dtype=dtype)
+            objective, status = float(self.objective), SolveStatus(self.status)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(
+                f"a solution needs numeric arrays, a real objective and a solve status: {exc}"
+            ) from None
         # a complex direction is unit-norm over its real and imaginary parts together
         if direction.ndim != 1 or not abs(_norm(direction.view(float)) - 1.0) <= 1e-12:
             raise DomainError("a solution direction must be finite and unit-norm within 1e-12")
-        objective, status = float(self.objective), SolveStatus(self.status)
+        if raw.shape != direction.shape:
+            raise DomainError(f"a solution raw must have the direction's shape, got {raw.shape}")
+        if not math.isfinite(objective):
+            raise DomainError(f"a solution objective must be finite, got {objective!r}")
         _freeze(self, direction=direction, raw=raw, objective=objective, status=status)
 
 
@@ -235,12 +246,7 @@ def independent_rows(rows: Sequence[Sequence[complex]] | np.ndarray) -> list[int
     interlacing), so the pass keeps every row exactly when all of them pass
     together.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise DomainError("expected a 2-d row matrix")
-    if not np.all(np.isfinite(rows)):
-        raise DomainError("rows must have finite entries")
-    rows = _power_of_two_scaled(rows)[0]
+    rows = _power_of_two_scaled(_real_array(rows, "rows", 2, complex_ok=True))[0]
     kept: list[int] = []
     for i, row in enumerate(rows):
         if len(kept) == rows.shape[1]:

@@ -117,6 +117,23 @@ class TestSolution:
         solution = Solution([0.6, -0.8], [3.0, -4.0], 5.0, SolveStatus.OPTIMAL)
         assert solution.direction.tolist() == [0.6, -0.8]
 
+    def test_rejects_non_numeric_direction(self):
+        with pytest.raises(DomainError, match="^a solution needs numeric arrays"):
+            Solution(["a"], [0], 0, "optimal")
+
+    def test_rejects_unknown_status(self):
+        with pytest.raises(DomainError, match="^a solution needs .* a solve status: 'bogus'"):
+            Solution([1.0], [0], 0, "bogus")
+
+    def test_rejects_raw_of_another_shape(self):
+        shape = re.escape("a solution raw must have the direction's shape, got (1, 1)")
+        with pytest.raises(DomainError, match=f"^{shape}$"):
+            Solution([1.0], [[0]], 0, "optimal")
+
+    def test_rejects_non_finite_objective(self):
+        with pytest.raises(DomainError, match="^a solution objective must be finite, got nan$"):
+            Solution([1.0], [0], float("nan"), "optimal")
+
 
 _COMPLEX_PROBLEM = ComplexProblem([[1.0 + 2.0j, 0.5, -1.0j]], [1.0, 1.0j, 2.0])
 _VALUES = {
@@ -947,6 +964,14 @@ REAL_ARRAY_SITES = {
     "perpendicular_component": (lambda v: perpendicular_component(v, OrthoBasis.empty(3)), "vector", 1),
     "triple_product_direction": (lambda v: triple_product_direction(v, [0.0, 1.0, 0.0]), "a", 1),
     "OrthoBasis": (lambda v: OrthoBasis(v, [1.0], 1), "basis vectors", 2),
+    "OrthoBasis scales": (lambda v: OrthoBasis(np.eye(3), v, 3), "scales", 1),
+}
+
+# The sites that take a real or complex array, in the same form.
+COMPLEX_ARRAY_SITES = {
+    "ComplexProblem rows": (lambda v: ComplexProblem(v, [1.0, 0.0, 0.0]), "constraint rows", 2),
+    "ComplexProblem b": (lambda v: ComplexProblem([[0.0, 0.0, 1.0]], v), "objective", 1),
+    "independent_rows": (independent_rows, "rows", 2),
 }
 
 
@@ -980,6 +1005,45 @@ class TestArgumentRules:
         call, what, ndim = REAL_ARRAY_SITES[site]
         with pytest.raises(DomainError, match=f"^{what} must "):
             call(_bad_arrays(ndim)[kind])
+
+    @pytest.mark.parametrize("kind", [kind for kind in _bad_arrays(1) if "complex" not in kind])
+    @pytest.mark.parametrize("site", COMPLEX_ARRAY_SITES)
+    def test_complex_array_sites_refuse(self, site, kind):
+        call, what, ndim = COMPLEX_ARRAY_SITES[site]
+        with pytest.raises(DomainError, match=f"^{what} must "):
+            call(_bad_arrays(ndim)[kind])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: OrthoBasis([[1.0, 0.0]], np.array([1 + 1j]), 1),
+            lambda: ComplexProblem([["a", 1]], [1, 0]),
+            lambda: ComplexProblem([[1, 0], [1]], [1, 0]),
+            lambda: independent_rows([["a", "b"]]),
+        ],
+        ids=["complex scales", "string rows", "ragged rows", "string independent_rows"],
+    )
+    def test_arrays_once_converted_by_their_sites_refused(self, call):
+        # a complex scale was truncated to its real part, the others raised bare numpy errors
+        with pytest.raises(DomainError, match=" must be a [12]-d array of "):
+            call()
+
+    def test_complex_problem_from_real_rows_stores_complex_arrays(self):
+        problem = ComplexProblem([[1, 0, 0]], [0.0, 2.0, 0.0])
+        assert problem.rows.dtype == problem.b.dtype == complex
+        assert problem.rows.tolist() == [[1, 0, 0]] and problem.b.tolist() == [0, 2, 0]
+        assert not problem.rows.flags.writeable and not problem.b.flags.writeable
+
+    def test_independent_rows_of_complex_rows_unchanged(self):
+        rng = np.random.default_rng(52)
+        rows = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        rows[2] = (1 + 2j) * rows[0] - 1j * rows[1]
+        rows[4] = 0
+        assert independent_rows(rows) == independent_rows(rows.tolist()) == [0, 1, 3]
+        # rounding to single precision leaves row 2 about 1e-8 off the span
+        assert independent_rows(rows.astype(np.complex64)) == [0, 1, 2, 3]
+        rows[3] = rows[0] + 1e-11j * rows[1]
+        assert independent_rows(rows) == [0, 1]
 
     @pytest.mark.parametrize(
         "tolerance", [True, "0.5", np.array(0.5), 10**400], ids=["bool", "str", "0-d array", "big int"]
