@@ -9,8 +9,8 @@ operations are pure functions, so everything is safe to share between
 threads.
 
 Every product and contraction runs on one cached split table: for every
-grade-(k+l) index and every split of its slots, the ranks of the two parts
-and the sign.  A contraction is the product contract(a, c) =
+grade-(k+l) index, k >= l, and split of its slots, the ranks of the two
+parts and the sign.  A contraction is the product contract(a, c) =
 (-1)^(kl + l(n-l)) *(a ^ *c), k and l the grades of a and the result, on a
 table as large as its adjoint's: C(n, l) C(n-l, k) = C(n, k+l) C(k+l, k).
 Only the grade-1 tables are built directly, each below grade n/2 by block
@@ -21,10 +21,10 @@ k < low only.  When 2m <= n they fold the rows into an m-form, and the
 (m-1, 1) one lays out the contractions of that form by each basis vector as
 the rows of one n x C(n, m-1) array; when 2m > n the (n-m-1, 1) one lays
 out those of its Hodge dual.  The block rule: past `_BLOCK_MIN`, any (k, 1)
-product, the library's `wedge` included, and the layout of the contractions
-of a (k+1)-form read the (k, 1) table block by block off the (k-1, 1) one
-(`_block_slots`), bit-identical to its per-slot loop, and never build it;
-so a solve never builds its largest table, the (low-1, 1) one.
+or (1, k) product, `wedge` and `contract` included, and the layout of the
+contractions of a (k+1)-form read the (k, 1) table block by block off the
+(k-1, 1) one (`_block_slots`), bit-identical to its per-slot loop, and never
+build it; so a solve never builds its largest table, the (low-1, 1) one.
 """
 
 from __future__ import annotations
@@ -269,22 +269,6 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return k_rank, l_rank, sign
 
 
-def _table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot-major (k_rank, l_rank, sign) over every split of every grade-(k+l) index.
-
-    The grade-1 table when l is 1, the (l, k) table with its roles swapped
-    and its sign times (-1)^(kl) when k < l, the split table otherwise.
-    `contract` of a k-form into a (k+l)-form reads the (k, n-k-l) table.
-    """
-    if k < l:
-        l_rank, k_rank, sign = _table(n, l, k)
-        return k_rank, l_rank, -sign if k * l % 2 else sign
-    if l == 1:
-        targets, rank, sign = _grade1_table(n, k)
-        return rank, targets, sign
-    return _split_table(n, k, l)
-
-
 # Up to this many targets C(n, k+l), the kernel gathers every split at
 # once; above that it loops over the splits, whose gathers stay small.
 # Measured crossover (grade-1 tables): 2-D faster at C(n, k+1) <= 2024,
@@ -294,8 +278,8 @@ _WHOLE_TABLE_MAX = 2048
 
 # From this average block size C(n, k) / (n - k + 1) of the grade-k indices
 # up, the grade-k steps run by the block rule of the module docstring: any
-# (k-1, 1) product, the library's `wedge` included, and the layout of the
-# contractions of a k-form.  Warm solves on blocks against tables
+# product of a (k-1)-form with a vector, on either side, and the layout of
+# the contractions of a k-form.  Warm solves on blocks against tables
 # (interleaved medians, 2 cores): 1.18 to 1.34 times as long at averages
 # 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12 at 2125-2431 (24x5, 17x8),
 # 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold solves on blocks are faster
@@ -305,7 +289,7 @@ _BLOCK_MIN = 3000
 
 def _by_blocks(n: int, k: int) -> bool:
     """Whether the grade-k steps run by the block rule (`_BLOCK_MIN`), k >= 2:
-    any (k-1, 1) product, the library's `wedge` included, and a layout."""
+    any product of a (k-1)-form with a vector, on either side, and a layout."""
     return k > 1 and math.comb(n, k) >= _BLOCK_MIN * (n - k + 1)
 
 
@@ -328,11 +312,15 @@ def _block_slots(n: int, k: int):
 def _product(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
     """Coefficients of (k-form a) ^ (l-form b) over R^n, on bare arrays.
 
-    The shape picks the kernel: blocks (`_block_slots`) when b is a vector
-    and `_by_blocks(n, k + 1)`, each adding its slots' terms in slot order,
-    as the per-split loop does, so bit-identical to it; else `_table(n, k, l)`,
-    every split at once up to `_WHOLE_TABLE_MAX` targets, one at a time above.
+    When k < l it is (-1)^(kl) b ^ a, the only operand swap, so every table
+    read has k >= l and a vector on either side takes the (k, 1) path: by
+    blocks (`_block_slots`) when `_by_blocks(n, k + 1)`, bit-identical to the
+    per-split loop.  Else on the grade-1 or split table, every split at once
+    up to `_WHOLE_TABLE_MAX` targets, one at a time above.
     """
+    if k < l:
+        out = _product(b, a, n, l, k)
+        return -out if k * l % 2 else out
     if l == 1 and _by_blocks(n, k + 1):
         out = np.zeros(math.comb(n, k + 1))
         for j, block, tail, targets, rank, offset in _block_slots(n, k + 1):
@@ -344,7 +332,10 @@ def _product(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int) -> np.ndarray
                 else:
                     part += term
         return out
-    k_rank, l_rank, sign = _table(n, k, l)
+    if l == 1:
+        l_rank, k_rank, sign = _grade1_table(n, k)
+    else:
+        k_rank, l_rank, sign = _split_table(n, k, l)
     if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
         return sign @ (a[k_rank] * b[l_rank])
     out = np.zeros(k_rank.shape[1])
@@ -520,8 +511,8 @@ def contract(a: KForm, c: KForm) -> KForm:
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
     inner(x, contract(a, c)) for every l-form x.  It is (-1)^(kl + l(n-l))
-    *(a ^ *c).  When *c is above grade 1, the product's table is built, and
-    checked against the work budget, before either dual is taken.
+    *(a ^ *c).  When *c is above grade 1, the table `_product` reads is built,
+    and checked against the work budget, before either dual is taken.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
@@ -531,7 +522,11 @@ def contract(a: KForm, c: KForm) -> KForm:
     if grade < 0:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
     if dual_k > 1:  # a dual of grade 0 or 1 is at most n coefficients
-        _table(n, a.k, dual_k)
+        k, l = max(a.k, dual_k), min(a.k, dual_k)  # as `_product` orders them
+        if l != 1:
+            _split_table(n, k, l)
+        else:  # the (k - 1, 1) table when the block rule reads the (k, 1) one off it
+            _grade1_table(n, k - 1 if _by_blocks(n, k + 1) else k)
     with np.errstate(over="ignore", invalid="ignore"):  # KForm refuses a non-finite result
         coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), n, a.k, dual_k), n, n - grade)
     return KForm(n, grade, -coeffs if (a.k * grade + grade * (n - grade)) % 2 else coeffs)
@@ -552,11 +547,10 @@ def inner(a: KForm, b: KForm) -> float:
     """Coefficient dot product of two same-grade forms over the same space.
 
     When the plain dot product is not finite, a product of two coefficients
-    overflowed: it is taken again, as `KForm.norm` takes its norm, of the
-    coefficients each divided by the exact power of two of its largest, and
-    scaled back, refused when that is past the largest double.  A finite
-    plain result is returned as it is; dividing first would lose the terms
-    of small coefficients when the largest ones meet zeros.
+    overflowed: it is taken again as an exact rational sum, rounded once,
+    and refused when that is past the largest double, so no small term is
+    lost when the largest ones cancel.  A finite plain result is returned as
+    it is.
     """
     if not isinstance(a, KForm) or not isinstance(b, KForm):
         raise DomainError("inner expects two KForm operands")
@@ -566,6 +560,11 @@ def inner(a: KForm, b: KForm) -> float:
         value = float(a.coeffs @ b.coeffs)
     if math.isfinite(value):
         return value
-    ea, eb = (math.frexp(float(np.max(np.abs(f.coeffs))))[1] for f in (a, b))
-    value = float(np.ldexp(a.coeffs, -ea) @ np.ldexp(b.coeffs, -eb))
-    return _ldexp_checked(value, ea + eb, "the inner product")
+    from fractions import Fraction  # only here, so importing the package does not load it
+
+    exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a.coeffs.tolist(), b.coeffs.tolist()))
+    try:
+        return float(exact)
+    except OverflowError:
+        scale = exact.numerator.bit_length() - exact.denominator.bit_length()
+        raise DomainError(f"the inner product is not representable: about 2**{scale}") from None

@@ -156,6 +156,8 @@ class Solution:
             raise DomainError("a solution direction must be finite and unit-norm within 1e-12")
         if raw.shape != direction.shape:
             raise DomainError(f"a solution raw must have the direction's shape, got {raw.shape}")
+        if not all(map(math.isfinite, raw.view(float).tolist())):
+            raise DomainError("a solution raw must have finite entries")
         if not math.isfinite(objective):
             raise DomainError(f"a solution objective must be finite, got {objective!r}")
         _freeze(self, direction=direction, raw=raw, objective=objective, status=status)

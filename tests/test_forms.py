@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,32 @@ class TestWedge:
         monkeypatch.setattr(forms, "_BLOCK_MIN", math.inf)
         assert np.array_equal(on_blocks.coeffs, wedge(a, v).coeffs)
 
+    def test_vector_on_either_side_is_bit_identical(self, monkeypatch):
+        # v ^ a is (-1)^8 a ^ v: the same terms in the same order, on blocks and on tables
+        rng = np.random.default_rng(20)
+        a = KForm(18, 8, rng.standard_normal(math.comb(18, 8)))
+        v = from_vector(rng.standard_normal(18))
+        on_blocks = wedge(v, a)
+        assert np.array_equal(on_blocks.coeffs, wedge(a, v).coeffs)
+        monkeypatch.setattr(forms, "_BLOCK_MIN", math.inf)
+        on_tables = wedge(v, a)
+        assert np.array_equal(on_tables.coeffs, wedge(a, v).coeffs)
+        assert np.array_equal(on_tables.coeffs, on_blocks.coeffs)
+
+    def test_cold_vector_on_the_left_peak(self):
+        # 19.1 MiB when the (8, 1) table was built for it; 12.4 MiB on blocks, as for a ^ v
+        rng = np.random.default_rng(21)
+        a = KForm(18, 8, rng.standard_normal(math.comb(18, 8)))
+        v = from_vector(rng.standard_normal(18))
+        forms._clear_caches()
+        tracemalloc.start()
+        try:
+            wedge(v, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_against_dense_shuffle_sum(self):
         rng = np.random.default_rng(11)
         for n in range(1, 6):
@@ -413,6 +440,44 @@ class TestSplitTable:
         assert out.k == 8
         lhs = inner(wedge(v, x), c)
         assert lhs == pytest.approx(inner(x, out), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "product, grade, skipped",
+        # v ^ F8 and v into F10 are (8, 1) products, v into F9 a (9, 1) one: each
+        # past _BLOCK_MIN in R^18, so read block by block off the table a grade down
+        [(wedge, 8, 8), (contract, 9, 9), (contract, 10, 8)],
+    )
+    def test_vector_on_the_left_past_the_block_size_builds_no_table(
+        self, monkeypatch, product, grade, skipped
+    ):
+        rng = np.random.default_rng(grade)
+        v = from_vector(rng.standard_normal(18))
+        form = KForm(18, grade, rng.standard_normal(math.comb(18, grade)))
+        grade_one_table = forms._grade1_table
+
+        def table_below(n, k):
+            if k >= skipped:
+                raise AssertionError(f"{product.__name__} built the ({k}, 1) table")
+            return grade_one_table(n, k)
+
+        forms._clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_grade1_table", table_below)
+            on_blocks = product(v, form)
+        monkeypatch.setattr(forms, "_BLOCK_MIN", math.inf)
+        assert np.array_equal(on_blocks.coeffs, product(v, form).coeffs)
+
+    def test_cold_vector_contract_over_a_small_budget_refused(self, monkeypatch):
+        # v into an 8-form in R^14 reads the (14, 6, 1) table, whose chain from
+        # grade 0 holds 917,504 bytes: refused before either dual is taken
+        monkeypatch.setattr(forms, "_WORK_BUDGET", 500_000)
+        forms._clear_caches()
+        v = from_vector(np.ones(14))
+        c = KForm(14, 8, np.ones(math.comb(14, 8)))
+        with pytest.raises(DomainError, match=r"the \(14, 6, 1\) table"):
+            contract(v, c)
+        for table in (forms._combos, forms._split_table, forms._grade1_table, forms._hodge_signs):
+            assert table.cache_info().currsize == 0
 
     def test_interior_rows_are_vector_contractions(self):
         rng = np.random.default_rng(15)
@@ -571,6 +636,11 @@ class TestInner:
     def test_overflowing_products_that_cancel(self):
         # each product is 2^1100, past the double range, so the plain sum is inf - inf
         assert inner(from_vector([2.0**600, 2.0**600]), from_vector([2.0**500, -(2.0**500)])) == 0.0
+
+    def test_small_terms_kept_where_the_largest_cancel(self):
+        # exactly 3: 2^1100 - 2^1100 + 3, so no term may be scaled out of the sum
+        a, b = from_vector([2**600, 2**600, 1]), from_vector([2**500, -(2**500), 3])
+        assert inner(a, b) == 3.0
 
     def test_finite_results_are_the_plain_dot_product(self):
         rng = np.random.default_rng(3)

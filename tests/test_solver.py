@@ -134,6 +134,11 @@ class TestSolution:
         with pytest.raises(DomainError, match="^a solution objective must be finite, got nan$"):
             Solution([1.0], [0], float("nan"), "optimal")
 
+    @pytest.mark.parametrize("raw", [[float("nan")], [float("inf")], [complex(0, float("-inf"))]])
+    def test_rejects_non_finite_raw(self, raw):
+        with pytest.raises(DomainError, match="^a solution raw must have finite entries$"):
+            Solution([1.0], raw, 0, "optimal")
+
 
 _COMPLEX_PROBLEM = ComplexProblem([[1.0 + 2.0j, 0.5, -1.0j]], [1.0, 1.0j, 2.0])
 _VALUES = {
