@@ -8,23 +8,22 @@ that ordering.  All values are immutable after construction and all
 operations are pure functions, so everything is safe to share between
 threads.
 
-Every product and contraction runs on one cached split table: for every
+One function, `_product(n, k, l)`, picks the kernel and the table of every
+product, and builds and checks that table: none for a scalar; for a vector,
+the (k, 1) grade-1 table, or past `_BLOCK_MIN` (`_read_grade`) the (k-1, 1)
+one, off which the (k, 1) one is read block by block (`_block_slots`),
+bit-identical to its per-slot loop; else the split table, for every
 grade-(k+l) index, k >= l, and split of its slots, the ranks of the two
 parts and the sign.  A contraction is the product contract(a, c) =
 (-1)^(kl + l(n-l)) *(a ^ *c), k and l the grades of a and the result, on a
 table as large as its adjoint's: C(n, l) C(n-l, k) = C(n, k+l) C(k+l, k).
 Only the grade-1 tables are built directly, each below grade n/2 by block
 copies of the one a grade down, and each from n/2 up as a mirror of the one
-below its dual grade; every other split table is composed from them.  A
-solve of m rows, low = min(m, n - m), builds the (k, 1) tables for
-k < low only.  When 2m <= n they fold the rows into an m-form, and the
-(m-1, 1) one lays out the contractions of that form by each basis vector as
-the rows of one n x C(n, m-1) array; when 2m > n the (n-m-1, 1) one lays
-out those of its Hodge dual.  The block rule: past `_BLOCK_MIN`, any (k, 1)
-or (1, k) product, `wedge` and `contract` included, and the layout of the
-contractions of a (k+1)-form read the (k, 1) table block by block off the
-(k-1, 1) one (`_block_slots`), bit-identical to its per-slot loop, and never
-build it; so a solve never builds its largest table, the (low-1, 1) one.
+below its dual grade; every split table is composed from them.  A solve of
+m rows, low = min(m, n - m), reads only the table of the (low-1, 1)
+product: when 2m <= n it folds the rows into an m-form, and lays out the
+contractions of that form by each basis vector as the rows of one
+n x C(n, m-1) array; when 2m > n it lays out those of its Hodge dual.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -201,6 +200,13 @@ def _hodge_signs(n: int, k: int) -> np.ndarray:
     return sign
 
 
+def _chain_bytes(n: int, k: int) -> int:
+    """Bytes of the (k, 1) table and of the grade-1 tables its cold build makes
+    first (`_grade1_table`), 16 (j+1) C(n, j+1) for each (j, 1) one."""
+    low = n - k - 1 if 2 * k >= n else k - 1
+    return sum(16 * (j + 1) * math.comb(n, j + 1) for j in (*range(low + 1), k))
+
+
 @lru_cache(maxsize=None)
 def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot-major table (targets, rank, sign) for a k-form wedged with a 1-form.
@@ -220,8 +226,7 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slot U_p - p holds U_p and leaves U^c, of rank C(n,k) - 1 - rank(U).
     """
     low, below = (n - k - 1, "its dual") if 2 * k >= n else (k - 1, "it")
-    chain = sum(16 * (j + 1) * math.comb(n, j + 1) for j in (*range(low + 1), k))
-    _check_work(chain, f"the ({n}, {k}, 1) table and the grade-1 tables below {below}")
+    _check_work(_chain_bytes(n, k), f"the ({n}, {k}, 1) table and the grade-1 tables below {below}")
     targets = _combos(n, k + 1).T
     rank = np.zeros(targets.shape, dtype=np.intp)  # for k = 0, the empty index
     if 2 * k >= n:
@@ -240,7 +245,8 @@ def _grade1_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot-major table (k_rank, l_rank, sign) for a k-form wedged with an l-form, k >= l.
+    """Slot-major table (l_rank, k_rank, sign) for a k-form wedged with an l-form,
+    k >= l, in the order of the grade-1 table's (targets, rank, sign).
 
     Column T is a grade-(k+l) index; row s gives the l-form the slots in
     row s of _combos(k+l, l).  Those slots are removed largest first, so the
@@ -266,7 +272,7 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
         l_rank -= np.array([math.comb(n - 1 - e, i + 1) for e in range(n)])[targets[slot]]
     for arr in (k_rank, l_rank, sign):
         arr.flags.writeable = False
-    return k_rank, l_rank, sign
+    return l_rank, k_rank, sign
 
 
 # Up to this many targets C(n, k+l), the kernel gathers every split at
@@ -276,10 +282,9 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
 _WHOLE_TABLE_MAX = 2048
 
 
-# From this average block size C(n, k) / (n - k + 1) of the grade-k indices
-# up, the grade-k steps run by the block rule of the module docstring: any
-# product of a (k-1)-form with a vector, on either side, and the layout of
-# the contractions of a k-form.  Warm solves on blocks against tables
+# From this average block size C(n, k+1) / (n - k) of the grade-(k+1)
+# indices up, a (k, 1) product reads its table by blocks (`_read_grade`).
+# Warm solves on blocks against tables
 # (interleaved medians, 2 cores): 1.18 to 1.34 times as long at averages
 # 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12 at 2125-2431 (24x5, 17x8),
 # 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold solves on blocks are faster
@@ -287,10 +292,11 @@ _WHOLE_TABLE_MAX = 2048
 _BLOCK_MIN = 3000
 
 
-def _by_blocks(n: int, k: int) -> bool:
-    """Whether the grade-k steps run by the block rule (`_BLOCK_MIN`), k >= 2:
-    any product of a (k-1)-form with a vector, on either side, and a layout."""
-    return k > 1 and math.comb(n, k) >= _BLOCK_MIN * (n - k + 1)
+def _read_grade(n: int, k: int) -> int:
+    """Grade g of the (g, 1) table a (k, 1) product reads, with a vector on
+    either side, and the layout of a (k+1)-form (`_interior_rows`): k, or past
+    `_BLOCK_MIN` k - 1, the (k, 1) table read block by block off it."""
+    return k - 1 if k and math.comb(n, k + 1) >= _BLOCK_MIN * (n - k) else k
 
 
 def _block_slots(n: int, k: int):
@@ -309,44 +315,49 @@ def _block_slots(n: int, k: int):
         yield j, block, tail, lower_targets[:, tail:], lower_rank[:, tail:], home.start - lower_tail
 
 
-def _product(a: np.ndarray, b: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
-    """Coefficients of (k-form a) ^ (l-form b) over R^n, on bare arrays.
+def _product(n: int, k: int, l: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The kernel (a, b) -> a ^ b of a k-form and an l-form over R^n, on bare
+    arrays: the one rule for which table a product reads.  The tables are
+    built, and checked against the work budget, before it returns.
 
     When k < l it is (-1)^(kl) b ^ a, the only operand swap, so every table
-    read has k >= l and a vector on either side takes the (k, 1) path: by
-    blocks (`_block_slots`) when `_by_blocks(n, k + 1)`, bit-identical to the
-    per-split loop.  Else on the grade-1 or split table, every split at once
-    up to `_WHOLE_TABLE_MAX` targets, one at a time above.
+    read has k >= l.  A scalar b reads none: a * b[0].  A vector b reads the
+    (g, 1) table, g = `_read_grade(n, k)`: when g < k, block by block
+    (`_block_slots`), bit-identical to the per-split loop.  Else the kernel
+    reads the grade-1 or split table, every split at once up to
+    `_WHOLE_TABLE_MAX` targets, one at a time above.
     """
     if k < l:
-        out = _product(b, a, n, l, k)
-        return -out if k * l % 2 else out
-    if l == 1 and _by_blocks(n, k + 1):
-        out = np.zeros(math.comb(n, k + 1))
-        for j, block, tail, targets, rank, offset in _block_slots(n, k + 1):
-            part = out[block]
-            for p in range(k + 1):
-                term = a[rank[p - 1] + offset] * b[targets[p - 1]] if p else a[tail:] * b[j]
-                if (k - p) % 2:
-                    part -= term
-                else:
-                    part += term
-        return out
-    if l == 1:
-        l_rank, k_rank, sign = _grade1_table(n, k)
-    else:
-        k_rank, l_rank, sign = _split_table(n, k, l)
+        swapped = _product(n, l, k)
+        return (lambda a, b: -swapped(b, a)) if k * l % 2 else (lambda a, b: swapped(b, a))
+    if l == 0:
+        return lambda a, b: a * b[0]
+    if l == 1 and _read_grade(n, k) < k:
+        slots = list(_block_slots(n, k + 1))
+
+        def by_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            out = np.zeros(math.comb(n, k + 1))
+            for j, block, tail, targets, rank, offset in slots:
+                part = out[block]
+                for p in range(k + 1):
+                    term = a[rank[p - 1] + offset] * b[targets[p - 1]] if p else a[tail:] * b[j]
+                    (np.subtract if (k - p) % 2 else np.add)(part, term, out=part)
+            return out
+
+        return by_blocks
+    l_rank, k_rank, sign = _grade1_table(n, k) if l == 1 else _split_table(n, k, l)
     if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
-        return sign @ (a[k_rank] * b[l_rank])
-    out = np.zeros(k_rank.shape[1])
-    for p in range(sign.shape[0]):
-        term = a[k_rank[p]]
-        term *= b[l_rank[p]]
-        if sign[p] > 0:
-            out += term
-        else:
-            out -= term
-    return out
+        return lambda a, b: sign @ (a[k_rank] * b[l_rank])
+
+    def per_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros(k_rank.shape[1])
+        for p in range(sign.shape[0]):
+            term = a[k_rank[p]]
+            term *= b[l_rank[p]]
+            (np.add if sign[p] > 0 else np.subtract)(out, term, out=out)
+        return out
+
+    return per_split
 
 
 def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -354,15 +365,15 @@ def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
 
     Coefficient J of contract(e_i, a) is (-1)^p a_T, where T is J with i
     inserted at slot p; the (k-1, 1) grade-1 table lists every such (T, p)
-    with T_p and the rank of J, so a is scattered once per slot.  When
-    `_by_blocks(n, k)` the table is not built: each block of a (see
-    `_block_slots`) is copied to row j, columns tail:, for slot 0, and
-    scattered once per slot above it.
+    with T_p and the rank of J, so a is scattered once per slot.  It reads
+    the table the (k-1, 1) product reads (`_read_grade`): by blocks, each
+    block of a (see `_block_slots`) is copied to row j, columns tail:, for
+    slot 0, and scattered once per slot above it.
     """
     cols = math.comb(n, k - 1)
     out = np.zeros(n * cols)  # row i, column J at i * cols + J
     negated = -a
-    if _by_blocks(n, k):
+    if _read_grade(n, k - 1) < k - 1:
         grid = out.reshape(n, cols)
         for j, block, tail, targets, rank, offset in _block_slots(n, k):
             grid[j, tail:] = a[block]
@@ -395,6 +406,8 @@ class MultiIndex:
 
     def __post_init__(self) -> None:
         n = _check_dimension(_integer(self.n, "n"))
+        if not np.iterable(self.indices):
+            raise DomainError(f"indices: expected a sequence of integers, got {self.indices!r}")
         indices = tuple(_integer(i, "indices") for i in self.indices)
         if len(indices) > n:
             raise DomainError(f"at most {n} indices fit in dimension {n}, got {len(indices)}")
@@ -411,6 +424,8 @@ class MultiIndex:
 
 def rank_multi_index(index: MultiIndex) -> int:
     """Lexicographic position of `index` among all C(n, k) sorted k-tuples."""
+    if not isinstance(index, MultiIndex):
+        raise DomainError(f"index: expected a MultiIndex, got {index!r}")
     n, k = index.n, index.k
     if k == 0:
         return 0
@@ -502,7 +517,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if grade > a.n:
         raise DomainError(f"grades {a.k} + {b.k} exceed the ambient dimension {a.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # KForm refuses a non-finite result
-        coeffs = _product(a.coeffs, b.coeffs, a.n, a.k, b.k)
+        coeffs = _product(a.n, a.k, b.k)(a.coeffs, b.coeffs)
     return KForm(a.n, grade, coeffs)
 
 
@@ -511,8 +526,7 @@ def contract(a: KForm, c: KForm) -> KForm:
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
     inner(x, contract(a, c)) for every l-form x.  It is (-1)^(kl + l(n-l))
-    *(a ^ *c).  When *c is above grade 1, the table `_product` reads is built,
-    and checked against the work budget, before either dual is taken.
+    *(a ^ *c), its kernel and tables from `_product` before either dual is taken.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
@@ -521,14 +535,9 @@ def contract(a: KForm, c: KForm) -> KForm:
     n, grade, dual_k = a.n, c.k - a.k, a.n - c.k
     if grade < 0:
         raise DomainError(f"cannot contract a grade-{a.k} form into a grade-{c.k} form")
-    if dual_k > 1:  # a dual of grade 0 or 1 is at most n coefficients
-        k, l = max(a.k, dual_k), min(a.k, dual_k)  # as `_product` orders them
-        if l != 1:
-            _split_table(n, k, l)
-        else:  # the (k - 1, 1) table when the block rule reads the (k, 1) one off it
-            _grade1_table(n, k - 1 if _by_blocks(n, k + 1) else k)
+    product = _product(n, a.k, dual_k)
     with np.errstate(over="ignore", invalid="ignore"):  # KForm refuses a non-finite result
-        coeffs = _dual(_product(a.coeffs, _dual(c.coeffs, n, c.k), n, a.k, dual_k), n, n - grade)
+        coeffs = _dual(product(a.coeffs, _dual(c.coeffs, n, c.k)), n, n - grade)
     return KForm(n, grade, -coeffs if (a.k * grade + grade * (n - grade)) % 2 else coeffs)
 
 

@@ -7,12 +7,9 @@ n x n matrix built from A alone: contract(A, A ^ b) = ||A||^2 b - C C^T b,
 where row i of the n x C(n, m-1) array C is contract(e_i, A), so
 P = I - C C^T / ||A||^2 and no solve forms A ^ b or any other form above
 grade m.  When 2m > n, P = C' C'^T / ||A||^2 is read off the Hodge dual *A
-of grade n - m instead, row i of C' being contract(e_i, *A), so no solve
-builds a grade-1 table at grade low = min(m, n - m) or above.  Past
-`forms._BLOCK_MIN` it does not build the (low-1, 1) one either: by the
-block rule of the `forms` docstring, any (k, 1) product, the library's
-`wedge` included, and the layout of C or C' run block by block, with
-bit-identical results.  For one row in R^3 this is the paper's triple
+of grade n - m instead, row i of C' being contract(e_i, *A), so a solve
+reads only the table of the (low-1, 1) product, low = min(m, n - m), as
+`forms._product` picks it.  For one row in R^3 this is the paper's triple
 product a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which
 removes the rounding the first pass leaves in the row span; ||A||^2 times
 it is the paper's double dual *(A ^ *(b ^ A)) times (-1)^(n+1).
@@ -30,8 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .forms import KForm, _check_dimension, _check_work, _combos, _dual, _freeze, _integer
-from .forms import _by_blocks, _interior_rows, _ldexp_checked, _positive, _product, _real_array
+from .forms import KForm, _chain_bytes, _check_dimension, _check_work, _combos, _dual, _freeze
+from .forms import _integer, _interior_rows, _ldexp_checked, _positive, _product, _read_grade
+from .forms import _real_array
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -166,20 +164,17 @@ class Solution:
 def _solve_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak bytes of a cold solve of m >= 1 rows in R^n.
 
-    The tables a solve builds are kept: index lists and grade-1 ranks,
-    16 k C(n, k) bytes per grade k below low = min(m, n - m), and at grade
-    low as many again, unless the grade-low steps run on blocks
-    (`_by_blocks`): then a fold builds nothing at grade low and the
-    determinants, which also gather every m x m minor, its index list only.
-    The ray adds the n x C(n, low - 1) contractions of A (fold) or of *A
-    (determinants), a few C(n, m)- and n x n-sized arrays, and 64 KiB.
+    The tables a solve builds are kept: those the (low - 1, 1) product reads,
+    low = min(m, n - m), with their chain (`forms._chain_bytes`), which serve
+    the fold and the layout of the contractions; and, for the determinants,
+    the grade-low index list the grade-m one is built from and every m x m
+    minor they gather.  The ray adds the n x C(n, low - 1) contractions of A
+    (fold) or of *A (determinants), a few C(n, m)- and n x n-sized arrays,
+    and 64 KiB.
     """
     top, low = math.comb(n, m), min(m, n - m)
-    # the grade-low index list and (low - 1, 1) ranks, 8 low C(n, low) bytes each
-    at_low = 2 if not _by_blocks(n, low) else 1 if 2 * m > n else 0
-    tables = 16 * sum(k * math.comb(n, k) for k in range(1, low))
-    tables += 8 * at_low * low * math.comb(n, low)
-    minors = (8 * m * m + 32 * m + n) * top if 2 * m > n else 0
+    tables = _chain_bytes(n, _read_grade(n, low - 1))
+    minors = (8 * m * m + 32 * m + n) * top + 8 * low * math.comb(n, low) if 2 * m > n else 0
     return tables + minors + 8 * n * math.comb(n, low - 1) + 64 * top + 32 * n * n + 2**16
 
 
@@ -197,16 +192,14 @@ def constraint_form(system: ConstraintSystem) -> KForm:
     row matrix on columns I.  When 2m <= n the rows are folded, one wedge
     with a vector per row, on bare arrays through `_product` as `wedge` is,
     bit for bit: no intermediate form is larger than the result, with
-    C(n, m) coefficients, and the tables hold about 2 sum_{k<=m} C(n, k) k
-    entries, fewer than the C(n, m) m^2 of a gather of every minor.  The sum
-    stops at k = m - 1 past `forms._BLOCK_MIN`, by the block rule of `forms`:
-    any (k, 1) product, the library's `wedge` included.  When 2m > n the fold
-    would pass through grade n/2, with C(n, n/2) coefficients against
-    C(n, m) minors, so the minors are evaluated directly as a batch of
-    determinants, whose only tables are the index lists up to grade m.  The
-    choice depends only on the shape.  A shape over the work budget is
-    refused before anything is allocated, and
-    minors that overflow are refused as non-finite.
+    C(n, m) coefficients, and the tables hold at most 2 sum_{k<=m} C(n, k) k
+    entries, fewer than the C(n, m) m^2 of a gather of every minor.  When
+    2m > n the fold would pass through grade n/2, with C(n, n/2)
+    coefficients against C(n, m) minors, so the minors are evaluated directly
+    as a batch of determinants, whose only tables are the index lists up to
+    grade m.  The choice depends only on the shape.  A shape over the work
+    budget is refused before anything is allocated, and minors that overflow
+    are refused as non-finite.
     """
     if system.m == 0:
         raise DomainError("an unconstrained system has no constraint form")
@@ -221,7 +214,7 @@ def _wedge_rows(rows: np.ndarray) -> np.ndarray:
         if 2 * m <= n:
             coeffs = rows[0]
             for k, row in enumerate(rows[1:], 1):
-                coeffs = _product(coeffs, row, n, k, 1)
+                coeffs = _product(n, k, 1)(coeffs, row)
             return coeffs
         return np.linalg.det(np.transpose(rows[:, _combos(n, m)], (1, 0, 2)))
 

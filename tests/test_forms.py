@@ -99,6 +99,16 @@ class TestMultiIndex:
         with pytest.raises(DomainError, match="indices: expected an integer, got True"):
             MultiIndex((True, 2), 3)
 
+    def test_non_multi_index_refused(self):
+        # a bare tuple has no .n or .k: an AttributeError before
+        with pytest.raises(DomainError, match=r"index: expected a MultiIndex, got \(1, 2\)"):
+            rank_multi_index((1, 2))
+
+    def test_non_sequence_indices_refused(self):
+        # an int is not iterable: a TypeError before
+        with pytest.raises(DomainError, match="indices: expected a sequence of integers, got 5"):
+            MultiIndex(5, 3)
+
     def test_non_integral_position_refused(self):
         # a cast to int would make it position 1, the index (1, 3)
         with pytest.raises(DomainError, match=r"position: expected an integer, got 1\.5"):
@@ -478,6 +488,23 @@ class TestSplitTable:
             contract(v, c)
         for table in (forms._combos, forms._split_table, forms._grade1_table, forms._hodge_signs):
             assert table.cache_info().currsize == 0
+
+    def test_cold_scalar_product_builds_no_table(self):
+        # a scalar times a 9-form in R^18, on either side, is b[0] * a; the
+        # (18, 9, 0) split table and the index lists below it are not built
+        rng = np.random.default_rng(16)
+        form = KForm(18, 9, rng.standard_normal(math.comb(18, 9)))
+        scalar = KForm(18, 0, [2.0])
+        tables = (forms._combos, forms._split_table, forms._grade1_table, forms._hodge_signs)
+        for left, right in ((scalar, form), (form, scalar)):
+            forms._clear_caches()
+            assert np.array_equal(wedge(left, right).coeffs, 2.0 * form.coeffs)
+            assert all(table.cache_info().currsize == 0 for table in tables)
+        # contract with a scalar builds only the sign tables of its duals
+        forms._clear_caches()
+        assert np.array_equal(contract(scalar, form).coeffs, 2.0 * form.coeffs)
+        assert forms._split_table.cache_info().currsize == 0
+        assert forms._grade1_table.cache_info().currsize == 0
 
     def test_interior_rows_are_vector_contractions(self):
         rng = np.random.default_rng(15)

@@ -690,6 +690,30 @@ class TestWorkBudget:
         # on blocks they are estimated at 1.9, 1.6 and 0.5 GiB.
         wedgeopt.solver._check_shape(n, m)
 
+    # Every n with a refused shape, and its first and last refused m: for each
+    # n <= 64 and 1 <= m < n, the solves the budget refuses, 1300 of 2016.
+    REFUSED = (
+        (24, 13, 14), (25, 13, 16), (26, 12, 18), (27, 11, 19), (28, 11, 21), (29, 10, 22),
+        (30, 10, 23), (31, 9, 25), (32, 9, 26), (33, 9, 27), (34, 9, 28), (35, 8, 29),
+        (36, 8, 30), (37, 8, 31), (38, 8, 33), (39, 8, 34), (40, 8, 35), (41, 8, 36),
+        (42, 8, 37), (43, 7, 38), (44, 7, 39), (45, 7, 40), (46, 7, 41), (47, 7, 42),
+        (48, 7, 43), (49, 7, 44), (50, 7, 45), (51, 7, 47), (52, 7, 48), (53, 7, 49),
+        (54, 7, 50), (55, 7, 51), (56, 7, 52), (57, 6, 53), (58, 6, 54), (59, 6, 55),
+        (60, 6, 56), (61, 6, 57), (62, 6, 58), (63, 6, 59), (64, 6, 60),
+    )
+
+    def test_refused_shapes_are_pinned(self):
+        refused = {n: range(first, last + 1) for n, first, last in self.REFUSED}
+        assert sum(map(len, refused.values())) == 1300
+        for n in range(2, 65):
+            for m in range(1, n):
+                try:
+                    wedgeopt.solver._check_shape(n, m)
+                    accepted = True
+                except DomainError:
+                    accepted = False
+                assert accepted == (m not in refused.get(n, ())), (n, m)
+
     def test_wide_shape_solves_without_environment(self, monkeypatch):
         monkeypatch.delenv("WEDGEOPT_MAX_DIMENSION", raising=False)
         rng = np.random.default_rng(40)
