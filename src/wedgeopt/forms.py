@@ -284,11 +284,10 @@ _WHOLE_TABLE_MAX = 2048
 
 # From this average block size C(n, k+1) / (n - k) of the grade-(k+1)
 # indices up, a (k, 1) product reads its table by blocks (`_read_grade`).
-# Warm solves on blocks against tables
-# (interleaved medians, 2 cores): 1.18 to 1.34 times as long at averages
-# 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12 at 2125-2431 (24x5, 17x8),
-# 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold solves on blocks are faster
-# at every shape.
+# Warm solves on blocks against tables (interleaved medians, 2 cores): 1.18
+# to 1.34 times as long at averages 1144-1430 (16x7, 32x4, 16x8), 1.08-1.12
+# at 2125-2431 (24x5, 17x8), 0.92-1.03 from 2584 up (20x6 to 22x16).  Cold
+# solves on blocks are faster at every shape.
 _BLOCK_MIN = 3000
 
 
@@ -526,7 +525,7 @@ def contract(a: KForm, c: KForm) -> KForm:
 
     The adjoint of x -> wedge(a, x): inner(wedge(a, x), c) equals
     inner(x, contract(a, c)) for every l-form x.  It is (-1)^(kl + l(n-l))
-    *(a ^ *c), its kernel and tables from `_product` before either dual is taken.
+    *(a ^ *c); `_product` builds and checks its tables before either dual is taken.
     """
     if not isinstance(a, KForm) or not isinstance(c, KForm):
         raise DomainError("contract expects two KForm operands")
