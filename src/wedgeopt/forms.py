@@ -20,10 +20,14 @@ table as large as its adjoint's: C(n, l) C(n-l, k) = C(n, k+l) C(k+l, k).
 Only the grade-1 tables are built directly, each below grade n/2 by block
 copies of the one a grade down, and each from n/2 up as a mirror of the one
 below its dual grade; every split table is composed from them.  A solve of
-m rows, low = min(m, n - m), reads only the table of the (low-1, 1)
-product: when 2m <= n it folds the rows into an m-form, and lays out the
+m rows, low = min(m, n - m), reads at most the table of the (low-1, 1)
+product: when 2m <= n it folds the rows into an m-form.  Up to
+`_WHOLE_TABLE_MAX` targets C(n, low) (`_per_split`) it lays out the
 contractions of that form by each basis vector as the rows of one
-n x C(n, m-1) array; when 2m > n it lays out those of its Hodge dual.
+n x C(n, m-1) array, off the (m-1, 1) table, or when 2m > n those of its
+Hodge dual, off the (n-m-1, 1) table (`_interior_rows`); above that it
+reads the form's largest coefficient and its neighbours (`_neighbours`),
+in no table.
 """
 
 from __future__ import annotations
@@ -282,6 +286,12 @@ def _split_table(n: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.nda
 _WHOLE_TABLE_MAX = 2048
 
 
+def _per_split(n: int, grade: int) -> bool:
+    """Whether a product with the C(n, grade) targets of a grade-`grade` result
+    loops over its splits: past `_WHOLE_TABLE_MAX` targets."""
+    return math.comb(n, grade) > _WHOLE_TABLE_MAX
+
+
 # From this average block size C(n, k+1) / (n - k) of the grade-(k+1)
 # indices up, a (k, 1) product reads its table by blocks (`_read_grade`).
 # Warm solves on blocks against tables (interleaved medians, 2 cores): 1.18
@@ -293,8 +303,8 @@ _BLOCK_MIN = 3000
 
 def _read_grade(n: int, k: int) -> int:
     """Grade g of the (g, 1) table a (k, 1) product reads, with a vector on
-    either side, and the layout of a (k+1)-form (`_interior_rows`): k, or past
-    `_BLOCK_MIN` k - 1, the (k, 1) table read block by block off it."""
+    either side: k, or past `_BLOCK_MIN` k - 1, the (k, 1) table read block by
+    block off it."""
     return k - 1 if k and math.comb(n, k + 1) >= _BLOCK_MIN * (n - k) else k
 
 
@@ -324,7 +334,7 @@ def _product(n: int, k: int, l: int) -> Callable[[np.ndarray, np.ndarray], np.nd
     (g, 1) table, g = `_read_grade(n, k)`: when g < k, block by block
     (`_block_slots`), bit-identical to the per-split loop.  Else the kernel
     reads the grade-1 or split table, every split at once up to
-    `_WHOLE_TABLE_MAX` targets, one at a time above.
+    `_WHOLE_TABLE_MAX` targets, one at a time above (`_per_split`).
     """
     if k < l:
         swapped = _product(n, l, k)
@@ -345,7 +355,7 @@ def _product(n: int, k: int, l: int) -> Callable[[np.ndarray, np.ndarray], np.nd
 
         return by_blocks
     l_rank, k_rank, sign = _grade1_table(n, k) if l == 1 else _split_table(n, k, l)
-    if k_rank.shape[1] <= _WHOLE_TABLE_MAX:
+    if not _per_split(n, k + l):
         return lambda a, b: sign @ (a[k_rank] * b[l_rank])
 
     def per_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -364,21 +374,11 @@ def _interior_rows(a: np.ndarray, n: int, k: int) -> np.ndarray:
 
     Coefficient J of contract(e_i, a) is (-1)^p a_T, where T is J with i
     inserted at slot p; the (k-1, 1) grade-1 table lists every such (T, p)
-    with T_p and the rank of J, so a is scattered once per slot.  It reads
-    the table the (k-1, 1) product reads (`_read_grade`): by blocks, each
-    block of a (see `_block_slots`) is copied to row j, columns tail:, for
-    slot 0, and scattered once per slot above it.
+    with T_p and the rank of J, so a is scattered once per slot.
     """
     cols = math.comb(n, k - 1)
     out = np.zeros(n * cols)  # row i, column J at i * cols + J
     negated = -a
-    if _read_grade(n, k - 1) < k - 1:
-        grid = out.reshape(n, cols)
-        for j, block, tail, targets, rank, offset in _block_slots(n, k):
-            grid[j, tail:] = a[block]
-            for p in range(1, k):
-                out[targets[p - 1] * cols + rank[p - 1] + offset] = (negated if p % 2 else a)[block]
-        return grid
     targets, rank, _ = _grade1_table(n, k - 1)
     for p in range(k):
         out[targets[p] * cols + rank[p]] = negated if p % 2 else a
@@ -440,16 +440,58 @@ def unrank_multi_index(position: int, n: int, k: int) -> MultiIndex:
     n, k = _grade(n, k)
     if not 0 <= position < math.comb(n, k):
         raise DomainError(f"position {position} outside [0, {math.comb(n, k)})")
-    indices = []
-    remaining = position
-    candidate = 1
-    for j in range(1, k + 1):
-        while remaining >= math.comb(n - candidate, k - j):
-            remaining -= math.comb(n - candidate, k - j)
-            candidate += 1
-        indices.append(candidate)
-        candidate += 1
-    return MultiIndex(tuple(indices), n)
+    return MultiIndex(tuple(i + 1 for i in _unrank(position, n, k)), n)
+
+
+def _unrank(position: int, n: int, k: int) -> list[int]:
+    """The 0-based sorted k-tuple at lex `position` below C(n, k), unchecked."""
+    indices, i = [], 0
+    for slot in range(k):
+        while position >= (count := math.comb(n - 1 - i, k - 1 - slot)):
+            position -= count
+            i += 1
+        indices.append(i)
+        i += 1
+    return indices
+
+
+def _neighbours(position: int, n: int, k: int) -> tuple[list[int], list[int], list[int]]:
+    """The neighbours of the grade-k index I at lex `position`, 1 <= k < n:
+    (order, ranks, signs), order being I followed by its complement, 0-based.
+
+    For each slot s of I, and in it each j of the complement, ranks holds the
+    rank of T = (I without I_s) with j, sorted, and signs the parity of that
+    sort, (-1)^(q - s - [s < q]), q being the count of I's elements below j.
+    The rank of a 0-based sorted T is C(n, k) - 1 - sum_p C(n - 1 - T_p, k - p).
+    T loses I_s's term; the elements of I strictly between I_s and j each
+    move one slot toward I_s's, which changes their terms by one difference
+    of prefix sums; and j gains the term of the slot next to them.  So each
+    rank is I's own rank plus three terms, O(1) in Python ints.
+    """
+    comb, top = math.comb, _unrank(position, n, k)
+    own = [comb(n - 1 - i, k - p) for p, i in enumerate(top)]
+    # prefix sums of the change in each element's term when it moves a slot left or right
+    left, right = [0], [0]
+    for p, i in enumerate(top):
+        left.append(left[-1] + comb(n - 1 - i, k - p + 1) - own[p])
+        right.append(right[-1] + (comb(n - 1 - i, k - p - 1) if p < k - 1 else 0) - own[p])
+    rest, below, q = [], [], 0
+    for j in range(n):
+        if q < k and top[q] == j:
+            q += 1
+        else:
+            rest.append(j)
+            below.append(q)
+    ranks, signs = [], []
+    for s in range(k):
+        for j, q in zip(rest, below):
+            if s < q:  # I_s+1 .. I_q-1 move left, j takes slot q - 1
+                moved, term = left[q] - left[s + 1], comb(n - 1 - j, k - q + 1)
+            else:  # I_q .. I_s-1 move right, j takes slot q
+                moved, term = right[s] - right[q], comb(n - 1 - j, k - q)
+            ranks.append(position + own[s] - moved - term)
+            signs.append(-1 if (q - s - (s < q)) % 2 else 1)
+    return top + rest, ranks, signs
 
 
 @dataclass(frozen=True, eq=False)

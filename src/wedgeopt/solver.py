@@ -3,14 +3,25 @@
 The solve pipeline wedges the constraint rows into one m-form A and reads
 the answer off the map b -> contract(A, A ^ b), which is ||A||^2 times the
 projection P of b onto the null space of the rows.  That map is a small
-n x n matrix built from A alone: contract(A, A ^ b) = ||A||^2 b - C C^T b,
-where row i of the n x C(n, m-1) array C is contract(e_i, A), so
-P = I - C C^T / ||A||^2 and no solve forms A ^ b or any other form above
-grade m.  When 2m > n, P = C' C'^T / ||A||^2 is read off the Hodge dual *A
-of grade n - m instead, row i of C' being contract(e_i, *A), so a solve
-reads only the table of the (low-1, 1) product, low = min(m, n - m), as
-`forms._product` picks it.  For one row in R^3 this is the paper's triple
-product a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which
+n x n matrix built from A alone, so no solve forms A ^ b or any other form
+above grade m.  It is read by one of two rules, chosen by the shape, with
+low = min(m, n - m):
+
+- up to `forms._WHOLE_TABLE_MAX` targets C(n, low), where the (low-1, 1)
+  product gathers its whole table, the layout: contract(A, A ^ b) =
+  ||A||^2 b - C C^T b, where row i of the n x C(n, m-1) array C is
+  contract(e_i, A), so P = I - C C^T / ||A||^2.  When 2m > n,
+  P = C' C'^T / ||A||^2 is read off the Hodge dual *A of grade n - m
+  instead, row i of C' being contract(e_i, *A), so it reads only the table
+  of the (low-1, 1) product, as `forms._product` picks it;
+- above that, the neighbours: A's largest coefficient A_I and the m(n - m)
+  coefficients one index away from I fix the rows' span (Plucker
+  coordinates), and P follows from an m x m or (n-m) x (n-m) solve, in no
+  table (`_neighbour_projector`).  Below the rule that solve alone costs
+  about as much as the whole layout.
+
+For one row in R^3 the layout is the paper's triple product
+a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which
 removes the rounding the first pass leaves in the row span; ||A||^2 times
 it is the paper's double dual *(A ^ *(b ^ A)) times (-1)^(n+1).
 `constraint_form` folds the rows through the product kernel of `forms`
@@ -28,8 +39,8 @@ import numpy as np
 
 from .errors import DomainError, RankDeficientError
 from .forms import KForm, _chain_bytes, _check_dimension, _check_work, _combos, _dual, _freeze
-from .forms import _integer, _interior_rows, _ldexp_checked, _positive, _product, _read_grade
-from .forms import _real_array
+from .forms import _integer, _interior_rows, _ldexp_checked, _neighbours, _per_split, _positive
+from .forms import _product, _read_grade, _real_array
 
 __all__ = [
     "DEGENERACY_TOLERANCE",
@@ -171,6 +182,12 @@ def _solve_bytes(n: int, m: int) -> int:
     minor they gather.  The ray adds the n x C(n, low - 1) contractions of A
     (fold) or of *A (determinants), a few C(n, m)- and n x n-sized arrays,
     and 64 KiB.
+
+    Past `forms._WHOLE_TABLE_MAX` targets C(n, low) the ray reads A's
+    neighbours instead (`_null_projector`), and builds neither the
+    contractions nor, when 2m > n, the (low - 1, 1) chain; the estimate
+    still counts both.  Without them it would accept 17 shapes refused
+    today, 32x9 among them, whose cold peaks have not been measured.
     """
     top, low = math.comb(n, m), min(m, n - m)
     tables = _chain_bytes(n, _read_grade(n, low - 1))
@@ -266,17 +283,24 @@ def _null_projector(coeffs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, flo
     """P, the projector onto the null space of the rows whose m-form A over
     R^n has the coefficients `coeffs`, and ||A||^2.
 
-    For a decomposable form F with rows contract(e_i, F) in C, C C^T is
-    ||F||^2 times the projector onto the span of F's factors.  F is A, the
-    rows' span, when 2m <= n, so P = I - C C^T / ||A||^2; it is *A, the null
-    space's, of norm ||A||, when 2m > n, so P = C C^T / ||A||^2.  A is first
-    divided by an exact power of two, 2^e, that brings its largest
-    coefficient into [1/2, 1), so neither C C^T nor ||A||^2 over- or
+    A is first divided by an exact power of two, 2^e, that brings its
+    largest coefficient into [1/2, 1), so that nothing below over- or
     underflows; ||A||^2 is returned as s and 2e with ||A||^2 = s * 2^(2e),
     the scale of the wedge path's ray in `_solve`.  A form with a non-finite
-    or no nonzero coefficient is refused.
+    or no nonzero coefficient is refused.  P is read by one of two rules,
+    chosen by the shape alone: the layout when the (low-1, 1) product,
+    low = min(m, n - m), gathers its whole table (`forms._per_split`), and
+    the neighbours of A's largest coefficient above that
+    (`_neighbour_projector`), where the layout costs more than their m x m
+    or (n-m) x (n-m) solve.
+
+    The layout: for a decomposable form F with rows contract(e_i, F) in C,
+    C C^T is ||F||^2 times the projector onto the span of F's factors.  F is
+    A, the rows' span, when 2m <= n, so P = I - C C^T / ||A||^2; it is *A,
+    the null space's, of norm ||A||, when 2m > n, so P = C C^T / ||A||^2.
     """
-    peak = float(np.max(np.abs(coeffs)))
+    top = int(np.argmax(np.abs(coeffs)))  # the first NaN, if there is one
+    peak = abs(float(coeffs[top]))
     if not peak < np.inf:  # NaN fails the comparison
         raise DomainError("form coefficients must be finite")
     if not peak:
@@ -286,11 +310,40 @@ def _null_projector(coeffs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, flo
     exponent = math.frexp(peak)[1]
     coeffs = np.ldexp(coeffs, -exponent)
     norm_sq = float(coeffs @ coeffs)
+    if _per_split(n, min(m, n - m)):
+        return _neighbour_projector(coeffs, top, n, m), norm_sq, 2 * exponent
     if 2 * m > n:
         rows = _interior_rows(_dual(coeffs, n, m), n, n - m)
         return (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
     rows = _interior_rows(coeffs, n, m)
     return np.eye(n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
+
+
+def _neighbour_projector(coeffs: np.ndarray, top: int, n: int, m: int) -> np.ndarray:
+    """P read off the largest coefficient A_I, at rank `top`, of the
+    decomposable m-form A and its m(n - m) neighbours (`forms._neighbours`),
+    in no table.
+
+    The rows v_s = contract(e_(I without I_s), A) / A_I span the rows' space:
+    v_s is 1 at I_s, 0 at the rest of I, and X_sj = +-A_(I without I_s, with
+    j) / A_I, in [-1, 1], at each j outside I.  In the columns (I, the
+    complement) they are V = [I_m | X], and N = [-X^T | I_(n-m)] spans the
+    null space; so P = I - V^T (I + X X^T)^-1 V when 2m <= n, and
+    P = N^T (I + X^T X)^-1 N when 2m > n, whose Gram matrices' eigenvalues
+    lie in [1, 1 + m(n - m)].
+    """
+    order, ranks, signs = _neighbours(top, n, m)
+    x = (coeffs[ranks] * np.array(signs)).reshape(m, n - m) / coeffs[top]
+    projector = np.empty((n, n))
+    if 2 * m <= n:
+        basis = np.hstack([np.eye(m), x])
+        gram = np.eye(m) + x @ x.T
+        projector[np.ix_(order, order)] = np.eye(n) - basis.T @ np.linalg.solve(gram, basis)
+    else:
+        basis = np.hstack([-x.T, np.eye(n - m)])
+        gram = np.eye(n - m) + x.T @ x
+        projector[np.ix_(order, order)] = basis.T @ np.linalg.solve(gram, basis)
+    return projector
 
 
 def _scaled_ray(scale: float, e: int, perp: np.ndarray, ray: str) -> np.ndarray:

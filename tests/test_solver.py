@@ -422,13 +422,17 @@ class TestOptimalDirection:
                 assert solution.objective == pytest.approx(1e-6, rel=1e-8)
 
     def test_solve_uses_tables_only_up_to_grade_m(self, monkeypatch):
-        # The ray reads the (m-1, 1) table that the fold already built, or when
-        # 2m > n the (n-m-1, 1) table of the dual: no solve builds a grade-1 table
-        # at grade low = min(m, n - m) or above, or any index array above grade m,
-        # and the solver forms no product of A with b.  Past _BLOCK_MIN the
-        # grade-low steps run on blocks of the (low-2, 1) table, so the (low-1, 1)
-        # table is not built either, nor, on the fold, the index list of grade m.
-        # Each shape's ceiling: (table grades below, index list grades up to).
+        # Up to _WHOLE_TABLE_MAX targets C(n, low), low = min(m, n - m), the ray
+        # lays out contractions off the (m-1, 1) table that the fold already
+        # built, or when 2m > n the (n-m-1, 1) table of the dual; above it the
+        # ray reads the neighbours of A's largest coefficient, in no table, so a
+        # 2m > n solve there builds no grade-1 table and no Hodge signs.  No
+        # solve builds a grade-1 table at grade low or above, or any index array
+        # above grade m, and the solver forms no product of A with b.  Past
+        # _BLOCK_MIN the fold's grade-low step runs on blocks of the (low-2, 1)
+        # table, so the (low-1, 1) table is not built either, nor the index list
+        # of grade m.  Each shape's ceiling: (table grades below, index list
+        # grades up to).
         grade_one_table, combos = wedgeopt.forms._grade1_table, wedgeopt.forms._combos
         assert not hasattr(wedgeopt.solver, "wedge")
         assert not hasattr(wedgeopt.solver, "contract")
@@ -440,15 +444,16 @@ class TestOptimalDirection:
             (7, 5): (2, 5),
             (10, 9): (1, 9),
             (9, 6): (3, 6),
-            (16, 9): (7, 9),
-            (20, 14): (6, 14),
+            (16, 9): (0, 9),
+            (20, 14): (0, 14),
             (18, 9): (8, 8),
-            (22, 16): (5, 16),
+            (22, 16): (0, 16),
         }
         for (n, m), (tables_below, combos_up_to) in shapes.items():
             low = min(m, n - m)
-            blocks = math.comb(n, low) >= wedgeopt.forms._BLOCK_MIN * (n - low + 1)
-            assert tables_below == low - blocks
+            blocks = wedgeopt.forms._read_grade(n, low - 1) < low - 1
+            dual_layout = 2 * m > n and not wedgeopt.forms._per_split(n, low)
+            assert tables_below == (low - blocks if 2 * m <= n or dual_layout else 0)
             assert combos_up_to == m - (blocks and 2 * m <= n)
 
             def table_below(n_, k):
@@ -472,26 +477,23 @@ class TestOptimalDirection:
                 assert optimal_direction(system, spanned).status is SolveStatus.DEGENERATE
                 assert objective_value(system, objective, 1.0) > 0.0
                 assert np.linalg.norm(degenerate_direction(system)) == pytest.approx(1.0)
+            signs_built = wedgeopt.forms._hodge_signs.cache_info().currsize > 0
+            assert signs_built == dual_layout, (n, m)
 
     @pytest.mark.parametrize(
         "n, m", [(4, 2), (7, 3), (9, 4), (10, 5), (12, 6), (13, 5), (5, 4), (9, 6), (10, 7), (12, 8)]
     )
     def test_blocks_are_bit_identical_to_the_per_slot_table_loop(self, monkeypatch, n, m):
-        # the fold's last wedge and the layout of the contractions of A, or of *A
-        # when 2m > n, on blocks and on the table's per-slot loop (not the 2-d
+        # the fold of low = min(m, n - m) rows, whose last wedge is the (low-1, 1)
+        # product, on blocks and on the table's per-slot loop (not the 2-d
         # whole-table product, whose BLAS sums in another order)
-        rows = np.random.default_rng(n * 100 + m).standard_normal((m, n))
-        low = min(m, n - m)
+        rows = np.random.default_rng(n * 100 + m).standard_normal((min(m, n - m), n))
         monkeypatch.setattr(wedgeopt.forms, "_WHOLE_TABLE_MAX", 0)
         results = []
         for block_min in (math.inf, 0):
             monkeypatch.setattr(wedgeopt.forms, "_BLOCK_MIN", block_min)
-            coeffs = wedgeopt.solver._wedge_rows(rows)
-            form = coeffs if 2 * m <= n else wedgeopt.forms._dual(coeffs, n, m)
-            results.append((coeffs, wedgeopt.forms._interior_rows(form, n, low)))
-        (table_coeffs, table_rows), (block_coeffs, block_rows) = results
-        assert np.array_equal(table_coeffs, block_coeffs)
-        assert np.array_equal(table_rows, block_rows)
+            results.append(wedgeopt.solver._wedge_rows(rows))
+        assert np.array_equal(*results)
 
     def test_rank_rule_ignores_per_row_scale(self):
         # Gram-Schmidt against the running row scale calls these rows dependent;
@@ -551,6 +553,32 @@ class TestNullProjector:
         system = ConstraintSystem(np.ldexp(np.eye(3, 4), -400))
         with pytest.raises(DomainError, match="nonzero"):
             optimal_direction(system, Objective([1.0, 1.0, 1.0, 1.0]))
+
+
+class TestNeighbourProjector:
+    """Past _WHOLE_TABLE_MAX targets C(n, low) the projector is read off the
+    neighbours of A's largest coefficient; patched to 0, every shape reads it."""
+
+    def test_matches_the_layout_and_is_the_null_space_projector(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        for n in range(2, 10):
+            for m in range(1, n):
+                system = random_system(rng, n, m)
+                form = constraint_form(system)
+                layout = wedgeopt.solver._null_projector(form.coeffs, n, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(wedgeopt.forms, "_WHOLE_TABLE_MAX", 0)
+                    patch.setattr(wedgeopt.solver, "_interior_rows", None)  # no layout
+                    projector, norm_sq, exponent = wedgeopt.solver._null_projector(
+                        form.coeffs, n, m
+                    )
+                unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
+                assert np.max(np.abs(projector @ unit_rows.T)) <= 1e-12
+                assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
+                assert np.trace(projector) == pytest.approx(n - m, abs=1e-12)
+                assert np.ldexp(norm_sq, exponent) == pytest.approx(form.norm() ** 2, rel=1e-14)
+                assert np.max(np.abs(projector - layout[0])) <= 1e-14, (n, m)
+                assert (norm_sq, exponent) == layout[1:]
 
 
 class TestPowerOfTwoScaling:
