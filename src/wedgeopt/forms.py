@@ -21,13 +21,13 @@ Only the grade-1 tables are built directly, each below grade n/2 by block
 copies of the one a grade down, and each from n/2 up as a mirror of the one
 below its dual grade; every split table is composed from them.  A solve of
 m rows, low = min(m, n - m), reads at most the table of the (low-1, 1)
-product: when 2m <= n it folds the rows into an m-form.  Up to
-`_WHOLE_TABLE_MAX` targets C(n, low) (`_per_split`) it lays out the
-contractions of that form by each basis vector as the rows of one
-n x C(n, m-1) array, off the (m-1, 1) table, or when 2m > n those of its
-Hodge dual, off the (n-m-1, 1) table (`_interior_rows`); above that it
-reads the form's largest coefficient and its neighbours (`_neighbours`),
-in no table.
+product, and only up to `_WHOLE_TABLE_MAX` targets C(n, low)
+(`_per_split`): there, when 2m <= n, it folds the rows into an m-form, and
+it lays out the contractions of that form by each basis vector as the rows
+of one n x C(n, m-1) array, off the (m-1, 1) table, or when 2m > n those of
+its Hodge dual, off the (n-m-1, 1) table (`_interior_rows`).  Above that a
+solve builds no form and reads no table: the solver eliminates the rows
+with complete pivoting.
 """
 
 from __future__ import annotations
@@ -453,45 +453,6 @@ def _unrank(position: int, n: int, k: int) -> list[int]:
         indices.append(i)
         i += 1
     return indices
-
-
-def _neighbours(position: int, n: int, k: int) -> tuple[list[int], list[int], list[int]]:
-    """The neighbours of the grade-k index I at lex `position`, 1 <= k < n:
-    (order, ranks, signs), order being I followed by its complement, 0-based.
-
-    For each slot s of I, and in it each j of the complement, ranks holds the
-    rank of T = (I without I_s) with j, sorted, and signs the parity of that
-    sort, (-1)^(q - s - [s < q]), q being the count of I's elements below j.
-    The rank of a 0-based sorted T is C(n, k) - 1 - sum_p C(n - 1 - T_p, k - p).
-    T loses I_s's term; the elements of I strictly between I_s and j each
-    move one slot toward I_s's, which changes their terms by one difference
-    of prefix sums; and j gains the term of the slot next to them.  So each
-    rank is I's own rank plus three terms, O(1) in Python ints.
-    """
-    comb, top = math.comb, _unrank(position, n, k)
-    own = [comb(n - 1 - i, k - p) for p, i in enumerate(top)]
-    # prefix sums of the change in each element's term when it moves a slot left or right
-    left, right = [0], [0]
-    for p, i in enumerate(top):
-        left.append(left[-1] + comb(n - 1 - i, k - p + 1) - own[p])
-        right.append(right[-1] + (comb(n - 1 - i, k - p - 1) if p < k - 1 else 0) - own[p])
-    rest, below, q = [], [], 0
-    for j in range(n):
-        if q < k and top[q] == j:
-            q += 1
-        else:
-            rest.append(j)
-            below.append(q)
-    ranks, signs = [], []
-    for s in range(k):
-        for j, q in zip(rest, below):
-            if s < q:  # I_s+1 .. I_q-1 move left, j takes slot q - 1
-                moved, term = left[q] - left[s + 1], comb(n - 1 - j, k - q + 1)
-            else:  # I_q .. I_s-1 move right, j takes slot q
-                moved, term = right[s] - right[q], comb(n - 1 - j, k - q)
-            ranks.append(position + own[s] - moved - term)
-            signs.append(-1 if (q - s - (s < q)) % 2 else 1)
-    return top + rest, ranks, signs
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 The solve pipeline wedges the constraint rows into one m-form A and reads
 the answer off the map b -> contract(A, A ^ b), which is ||A||^2 times the
 projection P of b onto the null space of the rows.  That map is a small
-n x n matrix built from A alone, so no solve forms A ^ b or any other form
-above grade m.  It is read by one of two rules, chosen by the shape, with
-low = min(m, n - m):
+n x n matrix fixed by the rows alone, so no solve forms A ^ b or any other
+form above grade m.  It is read by one of two rules, chosen by the shape,
+with low = min(m, n - m):
 
 - up to `forms._WHOLE_TABLE_MAX` targets C(n, low), where the (low-1, 1)
   product gathers its whole table, the layout: contract(A, A ^ b) =
@@ -14,11 +14,13 @@ low = min(m, n - m):
   P = C' C'^T / ||A||^2 is read off the Hodge dual *A of grade n - m
   instead, row i of C' being contract(e_i, *A), so it reads only the table
   of the (low-1, 1) product, as `forms._product` picks it;
-- above that, the neighbours: A's largest coefficient A_I and the m(n - m)
-  coefficients one index away from I fix the rows' span (Plucker
-  coordinates), and P follows from an m x m or (n-m) x (n-m) solve, in no
-  table (`_neighbour_projector`).  Below the rule that solve alone costs
-  about as much as the whole layout.
+- above that, one elimination of the scaled rows with complete pivoting
+  (`_pivoted_projector`): its pivot columns I index a nonzero coefficient
+  A_I, and X = A_I^-1 A_out holds, by Cramer's rule, the m(n - m)
+  coefficients one index away from I divided by A_I (Plucker coordinates),
+  which fix the rows' span; P follows from an m x m or (n-m) x (n-m)
+  solve, and ||A||^2 from the pivots, with no form, minor or table.  Below
+  the rule the elimination alone costs about as much as the whole layout.
 
 For one row in R^3 the layout is the paper's triple product
 a x (b x a) = |a|^2 b - (a . b) a.  The ray applies P twice, which
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficientError
 from .forms import KForm, _chain_bytes, _check_dimension, _check_work, _combos, _dual, _freeze
-from .forms import _integer, _interior_rows, _ldexp_checked, _neighbours, _per_split, _positive
+from .forms import _integer, _interior_rows, _ldexp_checked, _per_split, _positive
 from .forms import _product, _read_grade, _real_array
 
 __all__ = [
@@ -178,20 +180,26 @@ def _solve_bytes(n: int, m: int) -> int:
     The tables a solve builds are kept: those the (low - 1, 1) product reads,
     low = min(m, n - m), with their chain (`forms._chain_bytes`), which serve
     the fold and the layout of the contractions; and, for the determinants,
-    the grade-low index list the grade-m one is built from and every m x m
-    minor they gather.  The ray adds the n x C(n, low - 1) contractions of A
-    (fold) or of *A (determinants), a few C(n, m)- and n x n-sized arrays,
-    and 64 KiB.
+    every m x m minor they gather and the grade-low index list the grade-m
+    one is built from, which the chain already holds as the (low - 1, 1)
+    table's targets unless that product runs on blocks.  The ray adds the
+    n x C(n, low - 1) contractions of A (fold) or of *A (determinants), a
+    few C(n, m)- and n x n-sized arrays, and 64 KiB.
 
-    Past `forms._WHOLE_TABLE_MAX` targets C(n, low) the ray reads A's
-    neighbours instead (`_null_projector`), and builds neither the
-    contractions nor, when 2m > n, the (low - 1, 1) chain; the estimate
-    still counts both.  Without them it would accept 17 shapes refused
-    today, 32x9 among them, whose cold peaks have not been measured.
+    Past `forms._WHOLE_TABLE_MAX` targets C(n, low) a solve builds nothing
+    counted here: it eliminates the m x n rows (`_pivoted_projector`), in
+    O(n^2) memory.  The estimate still counts what the fold or the
+    determinants and the layout would build, so that no refusal moves.
+    Without it the work budget would accept shapes refused today, 32x9
+    among them.
     """
     top, low = math.comb(n, m), min(m, n - m)
-    tables = _chain_bytes(n, _read_grade(n, low - 1))
-    minors = (8 * m * m + 32 * m + n) * top + 8 * low * math.comb(n, low) if 2 * m > n else 0
+    grade = _read_grade(n, low - 1)
+    tables = _chain_bytes(n, grade)
+    minors = 0
+    if 2 * m > n:
+        index_list = 8 * low * math.comb(n, low) if grade < low - 1 else 0
+        minors = (8 * m * m + 32 * m + n) * top + index_list
     return tables + minors + 8 * n * math.comb(n, low - 1) + 64 * top + 32 * n * n + 2**16
 
 
@@ -281,26 +289,20 @@ def _norm(x: np.ndarray) -> float:
 
 def _null_projector(coeffs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, float, int]:
     """P, the projector onto the null space of the rows whose m-form A over
-    R^n has the coefficients `coeffs`, and ||A||^2.
+    R^n has the coefficients `coeffs`, and ||A||^2, by the layout.
 
     A is first divided by an exact power of two, 2^e, that brings its
     largest coefficient into [1/2, 1), so that nothing below over- or
     underflows; ||A||^2 is returned as s and 2e with ||A||^2 = s * 2^(2e),
     the scale of the wedge path's ray in `_solve`.  A form with a non-finite
-    or no nonzero coefficient is refused.  P is read by one of two rules,
-    chosen by the shape alone: the layout when the (low-1, 1) product,
-    low = min(m, n - m), gathers its whole table (`forms._per_split`), and
-    the neighbours of A's largest coefficient above that
-    (`_neighbour_projector`), where the layout costs more than their m x m
-    or (n-m) x (n-m) solve.
+    or no nonzero coefficient is refused.
 
-    The layout: for a decomposable form F with rows contract(e_i, F) in C,
-    C C^T is ||F||^2 times the projector onto the span of F's factors.  F is
-    A, the rows' span, when 2m <= n, so P = I - C C^T / ||A||^2; it is *A,
-    the null space's, of norm ||A||, when 2m > n, so P = C C^T / ||A||^2.
+    For a decomposable form F with rows contract(e_i, F) in C, C C^T is
+    ||F||^2 times the projector onto the span of F's factors.  F is A, the
+    rows' span, when 2m <= n, so P = I - C C^T / ||A||^2; it is *A, the null
+    space's, of norm ||A||, when 2m > n, so P = C C^T / ||A||^2.
     """
-    top = int(np.argmax(np.abs(coeffs)))  # the first NaN, if there is one
-    peak = abs(float(coeffs[top]))
+    peak = float(np.max(np.abs(coeffs)))
     if not peak < np.inf:  # NaN fails the comparison
         raise DomainError("form coefficients must be finite")
     if not peak:
@@ -310,8 +312,6 @@ def _null_projector(coeffs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, flo
     exponent = math.frexp(peak)[1]
     coeffs = np.ldexp(coeffs, -exponent)
     norm_sq = float(coeffs @ coeffs)
-    if _per_split(n, min(m, n - m)):
-        return _neighbour_projector(coeffs, top, n, m), norm_sq, 2 * exponent
     if 2 * m > n:
         rows = _interior_rows(_dual(coeffs, n, m), n, n - m)
         return (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
@@ -319,31 +319,52 @@ def _null_projector(coeffs: np.ndarray, n: int, m: int) -> tuple[np.ndarray, flo
     return np.eye(n) - (rows @ rows.T) / norm_sq, norm_sq, 2 * exponent
 
 
-def _neighbour_projector(coeffs: np.ndarray, top: int, n: int, m: int) -> np.ndarray:
-    """P read off the largest coefficient A_I, at rank `top`, of the
-    decomposable m-form A and its m(n - m) neighbours (`forms._neighbours`),
-    in no table.
+def _pivoted_projector(system: ConstraintSystem) -> tuple[np.ndarray, float, int]:
+    """P and ||A||^2, as `_null_projector` returns them, read off one
+    elimination of `system.scaled` with complete pivoting, in no table.
 
-    The rows v_s = contract(e_(I without I_s), A) / A_I span the rows' space:
-    v_s is 1 at I_s, 0 at the rest of I, and X_sj = +-A_(I without I_s, with
-    j) / A_I, in [-1, 1], at each j outside I.  In the columns (I, the
-    complement) they are V = [I_m | X], and N = [-X^T | I_(n-m)] spans the
-    null space; so P = I - V^T (I + X X^T)^-1 V when 2m <= n, and
-    P = N^T (I + X^T X)^-1 N when 2m > n, whose Gram matrices' eigenvalues
-    lie in [1, 1 + m(n - m)].
+    Each step takes the largest entry left as the pivot, stores its row and
+    clears its row and column from the rows left, so the stored rows, in
+    the pivot columns I and then the rest, are [U | U_out] with U upper
+    triangular.  X = U^-1 U_out = A_I^-1 A_out holds, by Cramer's rule,
+    X_sj = +-A_(I without I_s, with j) / A_I, so V = [I_m | X] spans the
+    rows' space and N = [-X^T | I_(n-m)] the null space: P = I - V^T G^-1 V
+    with G = I + X X^T when 2m <= n, and P = N^T G^-1 N with G = I + X^T X
+    when 2m > n, G = L L^T by Cholesky.  By Cauchy-Binet
+    ||A||^2 = det(A_I)^2 det(G) 2^(2 sum exponents), det(A_I) being the
+    pivots' product and det(G) that of L's squared diagonal; the factors'
+    mantissas are multiplied and their exponents summed, so nothing over- or
+    underflows.  A zero or non-finite pivot is refused.
     """
-    order, ranks, signs = _neighbours(top, n, m)
-    x = (coeffs[ranks] * np.array(signs)).reshape(m, n - m) / coeffs[top]
-    projector = np.empty((n, n))
+    m, n = system.m, system.n
+    left, upper, pivots = system.scaled.copy(), np.empty((m, n)), []
+    for k in range(m):
+        row, col = divmod(int(np.argmax(np.abs(left))), n)
+        pivot = float(left[row, col])
+        if not 0.0 < abs(pivot) < math.inf:  # NaN fails both comparisons
+            raise DomainError(f"the elimination of the scaled rows met the pivot {pivot!r}")
+        upper[k] = left[row]
+        left[row] = 0.0
+        left -= np.outer(left[:, col] / pivot, upper[k])
+        left[:, col] = 0.0
+        pivots.append(col)
+    rest = sorted(set(range(n)) - set(pivots))
+    triangle = upper[:, pivots]
+    x = np.linalg.solve(triangle, upper[:, rest])
+    # V or N in the original column order, so P needs no permutation
     if 2 * m <= n:
-        basis = np.hstack([np.eye(m), x])
-        gram = np.eye(m) + x @ x.T
-        projector[np.ix_(order, order)] = np.eye(n) - basis.T @ np.linalg.solve(gram, basis)
+        basis, gram = np.empty((m, n)), np.eye(m) + x @ x.T
+        basis[:, pivots], basis[:, rest] = np.eye(m), x
     else:
-        basis = np.hstack([-x.T, np.eye(n - m)])
-        gram = np.eye(n - m) + x.T @ x
-        projector[np.ix_(order, order)] = basis.T @ np.linalg.solve(gram, basis)
-    return projector
+        basis, gram = np.empty((n - m, n)), np.eye(n - m) + x.T @ x
+        basis[:, pivots], basis[:, rest] = -x.T, np.eye(n - m)
+    factor = np.linalg.cholesky(gram)
+    half = np.linalg.solve(factor, basis)  # half^T half = basis^T G^-1 basis
+    projector = np.eye(n) - half.T @ half if 2 * m <= n else half.T @ half
+    mantissas, exponents = np.frexp(np.concatenate([np.diag(triangle), np.diag(factor)]))
+    scale, exponent = math.frexp(float(np.prod(mantissas)))
+    exponent += int(exponents.sum()) + int(system.exponents.sum())
+    return projector, scale * scale, 2 * exponent
 
 
 def _scaled_ray(scale: float, e: int, perp: np.ndarray, ray: str) -> np.ndarray:
@@ -436,8 +457,20 @@ def _project(system: ConstraintSystem) -> tuple:
             "(for the CLI: --reduce-rows) and retry; the solver's smallest singular value "
             f"of the unit rows is {sigma!r}, at most RANK_TOLERANCE = {RANK_TOLERANCE!r}"
         )
-    projector, norm_sq, exponent = _null_projector(_wedge_rows(system.rows), system.n, system.m)
+    projector, norm_sq, exponent = _projector(system)
     return lambda x: projector @ (projector @ x), norm_sq, exponent, _RAY
+
+
+def _projector(system: ConstraintSystem) -> tuple[np.ndarray, float, int]:
+    """P and ||A_form||^2 of m >= 1 rows, by the shape's rule: the layout of
+    the folded or determinant form up to `forms._WHOLE_TABLE_MAX` targets
+    C(n, min(m, n - m)) (`forms._per_split`), the elimination above it.
+    Either path refuses a shape over the work budget first."""
+    n, m = system.n, system.m
+    if _per_split(n, min(m, n - m)):
+        _check_shape(n, m)
+        return _pivoted_projector(system)
+    return _null_projector(_wedge_rows(system.rows), n, m)
 
 
 def optimal_direction(

@@ -125,28 +125,6 @@ class TestMultiIndex:
         assert type(index.n) is int and all(type(i) is int for i in index.indices)
 
 
-class TestNeighbours:
-    def test_ranks_and_signs_match_the_sorted_neighbours(self):
-        # every top of every shape: (I without I_s, with j) sorted explicitly,
-        # ranked by rank_multi_index, its sign the parity of the sort
-        for n in range(2, 10):
-            for k in range(1, n):
-                for position in range(math.comb(n, k)):
-                    order, ranks, signs = forms._neighbours(position, n, k)
-                    top, rest = order[:k], order[k:]
-                    assert tuple(i + 1 for i in top) == unrank_multi_index(position, n, k).indices
-                    assert sorted(order) == list(range(n))
-                    expected_ranks, expected_signs = [], []
-                    for s in range(k):
-                        for j in rest:
-                            unsorted = [*top[:s], j, *top[s + 1 :]]
-                            swaps = sum(a > b for a, b in itertools.combinations(unsorted, 2))
-                            index = MultiIndex(tuple(i + 1 for i in sorted(unsorted)), n)
-                            expected_ranks.append(rank_multi_index(index))
-                            expected_signs.append((-1) ** swaps)
-                    assert ranks == expected_ranks and signs == expected_signs, (n, k, position)
-
-
 class TestKForm:
     def test_from_vector_examples(self):
         assert np.array_equal(from_vector([1, 0, 0]).coeffs, [1.0, 0.0, 0.0])

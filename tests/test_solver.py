@@ -424,15 +424,12 @@ class TestOptimalDirection:
     def test_solve_uses_tables_only_up_to_grade_m(self, monkeypatch):
         # Up to _WHOLE_TABLE_MAX targets C(n, low), low = min(m, n - m), the ray
         # lays out contractions off the (m-1, 1) table that the fold already
-        # built, or when 2m > n the (n-m-1, 1) table of the dual; above it the
-        # ray reads the neighbours of A's largest coefficient, in no table, so a
-        # 2m > n solve there builds no grade-1 table and no Hodge signs.  No
-        # solve builds a grade-1 table at grade low or above, or any index array
-        # above grade m, and the solver forms no product of A with b.  Past
-        # _BLOCK_MIN the fold's grade-low step runs on blocks of the (low-2, 1)
-        # table, so the (low-1, 1) table is not built either, nor the index list
-        # of grade m.  Each shape's ceiling: (table grades below, index list
-        # grades up to).
+        # built, or when 2m > n the (n-m-1, 1) table of the dual, and no solve
+        # there builds a grade-1 table at grade low or above, or any index array
+        # above grade m; no shape there is on blocks.  Above it the ray
+        # eliminates the rows and builds no table and no index list at all.
+        # The solver forms no product of A with b.  Each shape's ceiling:
+        # (table grades below, index list grades up to), -1 for none.
         grade_one_table, combos = wedgeopt.forms._grade1_table, wedgeopt.forms._combos
         assert not hasattr(wedgeopt.solver, "wedge")
         assert not hasattr(wedgeopt.solver, "contract")
@@ -444,17 +441,18 @@ class TestOptimalDirection:
             (7, 5): (2, 5),
             (10, 9): (1, 9),
             (9, 6): (3, 6),
-            (16, 9): (0, 9),
-            (20, 14): (0, 14),
-            (18, 9): (8, 8),
-            (22, 16): (0, 16),
+            (13, 6): (6, 6),
+            (16, 9): (0, -1),
+            (20, 14): (0, -1),
+            (18, 9): (0, -1),
+            (22, 16): (0, -1),
+            (32, 4): (0, -1),
         }
         for (n, m), (tables_below, combos_up_to) in shapes.items():
             low = min(m, n - m)
-            blocks = wedgeopt.forms._read_grade(n, low - 1) < low - 1
-            dual_layout = 2 * m > n and not wedgeopt.forms._per_split(n, low)
-            assert tables_below == (low - blocks if 2 * m <= n or dual_layout else 0)
-            assert combos_up_to == m - (blocks and 2 * m <= n)
+            reader = wedgeopt.forms._per_split(n, low)
+            assert reader or wedgeopt.forms._read_grade(n, low - 1) == low - 1
+            assert (tables_below, combos_up_to) == ((0, -1) if reader else (low, m))
 
             def table_below(n_, k):
                 if k >= tables_below:
@@ -478,7 +476,7 @@ class TestOptimalDirection:
                 assert objective_value(system, objective, 1.0) > 0.0
                 assert np.linalg.norm(degenerate_direction(system)) == pytest.approx(1.0)
             signs_built = wedgeopt.forms._hodge_signs.cache_info().currsize > 0
-            assert signs_built == dual_layout, (n, m)
+            assert signs_built == (2 * m > n and not reader), (n, m)
 
     @pytest.mark.parametrize(
         "n, m", [(4, 2), (7, 3), (9, 4), (10, 5), (12, 6), (13, 5), (5, 4), (9, 6), (10, 7), (12, 8)]
@@ -556,8 +554,10 @@ class TestNullProjector:
 
 
 class TestNeighbourProjector:
-    """Past _WHOLE_TABLE_MAX targets C(n, low) the projector is read off the
-    neighbours of A's largest coefficient; patched to 0, every shape reads it."""
+    """Past _WHOLE_TABLE_MAX targets C(n, low) the projector is read off one
+    elimination of the scaled rows with complete pivoting, whose X holds the
+    neighbours of a coefficient A_I divided by it; patched to 0, every shape
+    reads it."""
 
     def test_matches_the_layout_and_is_the_null_space_projector(self, monkeypatch):
         rng = np.random.default_rng(50)
@@ -565,20 +565,37 @@ class TestNeighbourProjector:
             for m in range(1, n):
                 system = random_system(rng, n, m)
                 form = constraint_form(system)
-                layout = wedgeopt.solver._null_projector(form.coeffs, n, m)
+                layout = wedgeopt.solver._projector(system)
                 with monkeypatch.context() as patch:
                     patch.setattr(wedgeopt.forms, "_WHOLE_TABLE_MAX", 0)
-                    patch.setattr(wedgeopt.solver, "_interior_rows", None)  # no layout
-                    projector, norm_sq, exponent = wedgeopt.solver._null_projector(
-                        form.coeffs, n, m
-                    )
+                    for name in ("_wedge_rows", "_null_projector", "_interior_rows"):
+                        patch.setattr(wedgeopt.solver, name, None)  # no fold, minors or layout
+                    projector, norm_sq, exponent = wedgeopt.solver._projector(system)
                 unit_rows = system.rows / np.linalg.norm(system.rows, axis=1)[:, None]
                 assert np.max(np.abs(projector @ unit_rows.T)) <= 1e-12
                 assert np.max(np.abs(projector @ projector - projector)) <= 1e-12
                 assert np.trace(projector) == pytest.approx(n - m, abs=1e-12)
-                assert np.ldexp(norm_sq, exponent) == pytest.approx(form.norm() ** 2, rel=1e-14)
+                # a product of pivots, not a sum of squares: equal to rounding only
+                assert np.ldexp(norm_sq, exponent) == pytest.approx(form.norm() ** 2, rel=1e-13)
                 assert np.max(np.abs(projector - layout[0])) <= 1e-14, (n, m)
-                assert (norm_sq, exponent) == layout[1:]
+
+    def test_directions_match_a_qr_projector_on_reader_shapes(self):
+        rng = np.random.default_rng(51)
+        shapes = [(14, 6), (16, 8), (18, 9), (32, 3), (32, 4), (16, 9), (20, 14), (22, 16)]
+        for n, m in shapes:
+            assert wedgeopt.forms._per_split(n, min(m, n - m))
+            for _ in range(5):
+                system, objective = random_instance(rng, n, m)
+                basis = np.linalg.qr(system.rows.T)[0]
+                perp = objective.b - basis @ (basis.T @ objective.b)
+                solution = optimal_direction(system, objective)
+                assert np.max(np.abs(solution.direction - perp / np.linalg.norm(perp))) <= 1e-14
+
+    def test_zero_pivot_is_a_domain_error(self):
+        # past the rank test only through a direct call: the second row is the first
+        system = ConstraintSystem(np.ones((2, 16)))
+        with pytest.raises(DomainError, match="met the pivot 0.0"):
+            wedgeopt.solver._pivoted_projector(system)
 
 
 class TestPowerOfTwoScaling:
@@ -608,6 +625,24 @@ class TestPowerOfTwoScaling:
         assert np.max(np.abs(solution.direction - expected)) <= 1e-12
         assert np.all(np.isfinite(solution.raw))
         assert solution.objective == pytest.approx(float(b @ expected), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(18, 9), (20, 14)])
+    @pytest.mark.parametrize("k", [-300, -100, -30, 30, 100, 300])
+    def test_scaled_reader_rows_solve_or_refuse_the_ray(self, n, m, k):
+        # Shapes past the projector rule eliminate the scaled rows, which no
+        # row scale changes, so a solve either gives the reference direction
+        # or refuses the ray ||A_form||^2 * b_perp, about 2^(2mk) times b_perp;
+        # no minor of the rows over- or underflows on the way.
+        rng = np.random.default_rng(n * 100 + m)
+        rows, b = rng.standard_normal((m, n)), rng.standard_normal(n)
+        system = ConstraintSystem(np.ldexp(rows, k))
+        try:
+            solution = optimal_direction(system, Objective(b))
+        except DomainError as exc:
+            assert abs(k) >= 100 and "the unnormalized ray ||A_form||^2 * b_perp" in str(exc)
+        else:
+            assert abs(k) < 100 and solution.status is SolveStatus.OPTIMAL
+            assert np.max(np.abs(solution.direction - null_space_direction(rows, b))) <= 1e-12
 
     @pytest.mark.parametrize("k", [-1000, -600, -300, 200, 300, 600, 1000])
     def test_rows_out_of_range_raise_cleanly(self, k):
@@ -665,20 +700,36 @@ class TestSolveMemory:
             tracemalloc.stop()
             wedgeopt.forms._clear_caches()
 
+    @pytest.mark.parametrize("n, m", [(14, 6), (16, 8), (18, 9), (32, 4), (16, 9), (20, 14)])
+    def test_reader_shape_builds_no_table(self, monkeypatch, n, m):
+        # past the projector rule a cold solve eliminates the rows: it folds
+        # nothing, takes no determinant and builds no table or index list
+        def refuse(*args):
+            raise AssertionError(f"a solve with n={n}, m={m} folded the rows or took a minor")
+
+        monkeypatch.setattr(wedgeopt.solver, "_wedge_rows", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        system, objective = random_instance(np.random.default_rng(n * 100 + m), n, m)
+        wedgeopt.forms._clear_caches()
+        assert optimal_direction(system, objective).status is SolveStatus.OPTIMAL
+        forms = wedgeopt.forms
+        tables = (forms._combos, forms._grade1_table, forms._split_table, forms._hodge_signs)
+        assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+
     def test_wide_shape_peak(self):
         assert self.cold_peak_mb(32, 4) < 250.0
 
     def test_wide_shape_builds_no_grade_above_m(self):
-        # The (3, 1) table of the fold serves the ray; C(32, 5) = 201,376 targets of
-        # the (4, 1) table are never enumerated.
+        # 32x4 eliminates its rows; C(32, 5) = 201,376 targets of the (4, 1)
+        # table are never enumerated.
         assert self.cold_peak_mb(32, 4) < 10.0
 
     def test_half_shape_peak(self):
         assert self.cold_peak_mb(18, 9) < 70.0
 
     def test_half_shape_builds_no_top_table(self):
-        # 18x9 runs its last wedge and its layout on blocks: neither the (8, 1)
-        # table nor _combos(18, 9), 7.0 MB together, is built (26.4 MB with them)
+        # 18x9 eliminates its rows: neither the (8, 1) table nor _combos(18, 9),
+        # 7.0 MB together, nor any smaller table is built (26.4 MB with them)
         assert self.cold_peak_mb(18, 9) < 21.0
 
     @pytest.mark.parametrize("n, m", [(24, 22), (32, 31)])
@@ -949,7 +1000,8 @@ class TestPathsRunAlone:
             self.check(system, objective, status, solution, value, degenerate_direction(system))
 
     def test_oracle_runs_without_the_solver(self, monkeypatch):
-        names = ["_sigma_min", "_null_projector", "constraint_form", "_wedge_rows", "_project"]
+        names = ["_sigma_min", "_null_projector", "_pivoted_projector", "_projector"]
+        names += ["constraint_form", "_wedge_rows", "_project"]
         self.refuse_all(monkeypatch, wedgeopt.solver, [*names, "degenerate_direction"])
         # and the same refusal under the oracle's name, should it import the rule
         refused = wedgeopt.solver.degenerate_direction
